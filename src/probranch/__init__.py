@@ -78,7 +78,6 @@ from .semantics import (
     WeakClosure,
     nd_transitions,
     partial_tau_successors,
-    polytope_matches_signature,
     stabilize,
     to_dot,
     transition_polytope,

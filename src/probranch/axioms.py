@@ -24,10 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .dist import den, derivatives, dirac
 from .equivalence import (
+    _RootedCheck,
+    _StrongCheck,
     branching_analysis,
     branching_equiv,
     check as relation_check,
@@ -35,9 +38,9 @@ from .equivalence import (
     sqsubseteq,
     strong_partition,
 )
-from .lp import LP
 from .parse import print_term
 from .rat import ONE, ZERO, format_rat, rat
+from .semantics import state_targets
 from .terms import (
     Action,
     Dirac,
@@ -127,14 +130,6 @@ class RewriteStep:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-
-def _subst_value_str(value) -> str:
-    if isinstance(value, (NdTerm, PTerm)):
-        return print_term(value)
-    if isinstance(value, Action):
-        return value.name
-    return format_rat(value)
 
 
 @dataclass(frozen=True)
@@ -778,71 +773,38 @@ def _sbp2_chain(rw: _Rewriter, pos, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Matching-weight extraction (feasible points of the transfer LPs)
+# Matching weights, read from the decider's own LPs
+#
+# A matching maps the roots of a saturation proof to the decider's check
+# for the relation and its context: strong bisimilarity's partition, or
+# the rooted first step over the branching tables.  The prover asks
+# check.respond the very question the verdict rested on and reads the
+# match from the LP's feasible point: weights over state_targets(
+# responder, action).  The responder is a normalized chain among the
+# roots, because the transfer LP leaves states outside the partition
+# universe unconstrained.
 
 
-def _strong_match_solution(partition, responder_summands, action, sig):
-    """Convex weights over the responder's action-summands whose combined
-    step hits the signature; None when no match exists."""
-    cands = [(i, s.body, den(s.body)) for i, s in enumerate(responder_summands)
-             if s.action == action]
-    if not cands:
-        return None
-    lp = LP()
-    for i, _, _ in cands:
-        lp.var(("y", i))
-    lp.add_eq({("y", i): ONE for i, _, _ in cands}, ONE)
-    for k, cls in enumerate(partition.classes):
-        coeffs = {}
-        for i, _, target in cands:
-            m = target.class_mass(cls)
-            if m != ZERO:
-                coeffs[("y", i)] = m
-        lp.add_eq(coeffs, sig[k])
-    sol = lp.feasible()
-    if sol is None:
-        return None
-    return [(body, sol[("y", i)]) for i, body, _ in cands
-            if sol[("y", i)] != ZERO]
+def _strong_matching(roots: frozenset):
+    return _StrongCheck(), strong_partition(roots)
 
 
-def _rooted_match_solution(tables, responder_summands, action, end_sig):
-    """Weights over the responder's action-summands whose combined step
-    stabilizes onto the required signature."""
-    from .semantics import add_flow_result
+def _rooted_matching(roots: frozenset):
+    return _RootedCheck(), branching_analysis(roots).tables
 
-    cands = [(i, s.body, den(s.body)) for i, s in enumerate(responder_summands)
-             if s.action == action]
-    if not cands:
-        return None
-    states = sorted(set().union(*(derivatives(b) for _, b, _ in cands)),
-                    key=nd_key)
-    lp = LP()
-    for i, _, _ in cands:
-        lp.var(("y", i))
-    lp.add_eq({("y", i): ONE for i, _, _ in cands}, ONE)
-    nu = {}
-    for s in states:
-        v = lp.var(("n", s))
-        nu[s] = v
-        coeffs = {v: ONE}
-        for i, _, target in cands:
-            m = target.mass(s)
-            if m != ZERO:
-                coeffs[("y", i)] = coeffs.get(("y", i), ZERO) - m
-        lp.add_eq(coeffs, ZERO)
-    omega = add_flow_result(lp, "e", {s: ("n", s) for s in states}, states,
-                            tables.inert_transitions(states))
-    for s in states:
-        if s in tables.unstable:
-            lp.add_eq({omega[s]: ONE}, ZERO)
-    for k, cls in enumerate(tables.partition.classes):
-        lp.add_eq({omega[s]: ONE for s in states if s in cls}, end_sig[k])
-    sol = lp.feasible()
-    if sol is None:
-        return None
-    return [(body, sol[("y", i)]) for i, body, _ in cands
-            if sol[("y", i)] != ZERO]
+
+def _rooted_classes(states: frozenset):
+    return rooted_partition_over(branching_analysis(states), states)
+
+
+def _matched_bodies(weights, responder, action):
+    """[(body, weight), ...] over the responder's action-summands, in
+    chain order, from weights over state_targets(responder, action).  A
+    normalized chain's summand bodies have pairwise distinct targets."""
+    weight = dict(zip(state_targets(responder, action), weights))
+    return [(s.body, weight[den(s.body)]) for s in summands(responder)
+            if isinstance(s, Prefix) and s.action == action
+            and weight[den(s.body)] != ZERO]
 
 
 # ---------------------------------------------------------------------------
@@ -896,17 +858,13 @@ class _ChainEditor:
                           {"alpha": action, "P": left_body, "Q": right_body,
                            "r": r})
 
-    def rewrite_summand_body(self, index: int, steps):
-        n = len(self.items())
-        self.rw.splice(_chain_elem_pos([], n, index) + [0], steps)
-
     def rewrite_summand(self, index: int, steps):
         n = len(self.items())
         self.rw.splice(_chain_elem_pos([], n, index), steps)
 
 
-def _saturate_and_pair(prover, rw_left: _Rewriter, rw_right: _Rewriter,
-                       matcher, prefix_prover, group_key):
+def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
+                       check, ctx, prefix_prover):
     """Shared skeleton of the completeness argument.
 
     Both sides are normalized chains.  Every summand of one side is
@@ -917,17 +875,23 @@ def _saturate_and_pair(prover, rw_left: _Rewriter, rw_right: _Rewriter,
     so rewriting every summand body onto a canonical per-group
     representative makes both chains normalize to the same term.
     """
+    def group_key(body):
+        return check.challenge_sig(ctx, den(body))
+
     left = _ChainEditor(rw_left)
     right = _ChainEditor(rw_right)
-    orig_left = [s for s in left.items() if isinstance(s, Prefix)]
-    orig_right = [s for s in right.items() if isinstance(s, Prefix)]
+    term_left, term_right = rw_left.term, rw_right.term
 
-    for originals, responders, editor in (
-            (orig_left, orig_right, right), (orig_right, orig_left, left)):
-        for s in originals:
-            match = matcher(s, responders)
-            if match is None:
+    for challenger, responder, editor in (
+            (term_left, term_right, right), (term_right, term_left, left)):
+        for s in summands(challenger):
+            if not isinstance(s, Prefix):
+                continue
+            weights = check.respond(ctx, responder, s.action,
+                                    group_key(s.body), None)
+            if weights is None:
                 raise ValueError("transfer match vanished during proof search")
+            match = _matched_bodies(weights, responder, s.action)
             if len(match) > 1:
                 _, records = editor.build_combo(s.action, match)
                 editor.remove_intermediates(s.action, records[:-1])
@@ -971,60 +935,57 @@ class _Prover:
         self.budget = _Budget(budget)
         self._conc_memo: dict = {}
         self._conc_nd_memo: dict = {}
-        self._strong_state_memo: dict = {}
-        self._strong_pterm_memo: dict = {}
-        self._rooted_state_memo: dict = {}
+        self._state_memo: dict = {}
+        self._pterm_memo: dict = {}
+        # State provers of the two completeness proofs: strong (A1-A4,
+        # P1-P3, C) and rooted branching (the full calculus).
+        self.strong = partial(self.states, _strong_matching,
+                              self.strong_prefix)
+        self.rooted = partial(self.states, _rooted_matching,
+                              self.branching_prefix)
 
-    # -- strong completeness (A1-A4, P1-P3, C)
+    # -- state and spine pairing, shared by strong and rooted completeness
 
-    def strong_states(self, e: NdTerm, f: NdTerm) -> list:
+    def states(self, matching, prefix_prover, e: NdTerm, f: NdTerm) -> list:
+        """Steps for e = f: both chains are normalized, saturated against
+        each other with the check that `matching` gives (strong or
+        rooted) and each continuation group is closed by
+        `prefix_prover`."""
         if e == f:
             return []
-        key = (e, f)
-        if key in self._strong_state_memo:
-            return list(self._strong_state_memo[key])
+        key = (matching, e, f)
+        if key in self._state_memo:
+            return list(self._state_memo[key])
         rw_e = _Rewriter(e, self.budget)
         _normalize_nd_at(rw_e, [])
         rw_f = _Rewriter(f, self.budget)
         _normalize_nd_at(rw_f, [])
         if rw_e.term != rw_f.term:
-            partition = strong_partition({e, f, rw_e.term, rw_f.term})
-
-            def matcher(summand, responders):
-                return _strong_match_solution(
-                    partition, responders, summand.action,
-                    partition.sig(den(summand.body)))
-
-            _saturate_and_pair(self, rw_e, rw_f, matcher, self.strong_prefix,
-                               lambda body: partition.sig(den(body)))
+            check, ctx = matching(frozenset({e, f, rw_e.term, rw_f.term}))
+            _saturate_and_pair(rw_e, rw_f, check, ctx, prefix_prover)
         steps = rw_e.steps + invert_steps(rw_f.steps)
-        self._strong_state_memo[key] = tuple(steps)
+        self._state_memo[key] = tuple(steps)
         return steps
 
-    def strong_prefix(self, action: Action, p: PTerm, q: PTerm) -> list:
-        """Steps for action.p = action.q when den(p) ~ den(q), relative to
-        the prefix term."""
-        inner = self.strong_pterms(p, q)
-        rw = _Rewriter(Prefix(action, p), self.budget)
-        rw.splice([0], inner)
-        return rw.steps
-
-    def strong_pterms(self, p: PTerm, q: PTerm) -> list:
+    def pterms(self, p: PTerm, q: PTerm, partition_of, prove_states) -> list:
+        """Steps for p = q: both spines are normalized, every component is
+        rewritten by `prove_states` onto the representative of its class
+        in partition_of(components), then the spines are merged."""
         if p == q:
             return []
-        key = (p, q)
-        if key in self._strong_pterm_memo:
-            return list(self._strong_pterm_memo[key])
+        key = (partition_of, p, q)
+        if key in self._pterm_memo:
+            return list(self._pterm_memo[key])
         rw_p = _Rewriter(p, self.budget)
         _normalize_p_at(rw_p, [])
         rw_q = _Rewriter(q, self.budget)
         _normalize_p_at(rw_q, [])
         if rw_p.term != rw_q.term:
-            comps_p = [c.body for c in _spine_items(rw_p.term)]
-            comps_q = [c.body for c in _spine_items(rw_q.term)]
-            partition = strong_partition(set(comps_p) | set(comps_q))
+            comps = [c.body for rw in (rw_p, rw_q)
+                     for c in _spine_items(rw.term)]
+            partition = partition_of(frozenset(comps))
             reps: dict = {}
-            for state in comps_p + comps_q:
+            for state in comps:
                 cls = partition.class_of(state)
                 cur = reps.get(cls)
                 if cur is None or (complexity(state), nd_key(state)) < (
@@ -1037,14 +998,22 @@ class _Prover:
                     rep = reps[partition.class_of(comp.body)]
                     if comp.body != rep:
                         pos = _spine_node_pos([], i) + ([0] if i < n - 1 else [])
-                        rw.splice(pos + [0], self.strong_states(comp.body, rep))
+                        rw.splice(pos + [0], prove_states(comp.body, rep))
                 _spine_sort(rw, [])
                 _spine_merge(rw, [])
             if rw_p.term != rw_q.term:
-                raise ValueError("strong component matching failed")
+                raise ValueError("component matching failed")
         steps = rw_p.steps + invert_steps(rw_q.steps)
-        self._strong_pterm_memo[key] = tuple(steps)
+        self._pterm_memo[key] = tuple(steps)
         return steps
+
+    def strong_prefix(self, action: Action, p: PTerm, q: PTerm) -> list:
+        """Steps for action.p = action.q when den(p) ~ den(q), relative to
+        the prefix term."""
+        inner = self.pterms(p, q, strong_partition, self.strong)
+        rw = _Rewriter(Prefix(action, p), self.budget)
+        rw.splice([0], inner)
+        return rw.steps
 
     # -- concretization (full calculus)
 
@@ -1174,7 +1143,7 @@ class _Prover:
             comp = _spine_items(rw.at(pos))[i]
             if comp.body != rep:
                 comp_pos = _spine_node_pos(pos, i) + ([0] if i < n - 1 else [])
-                rw.splice(comp_pos + [0], self.strong_states(comp.body, rep))
+                rw.splice(comp_pos + [0], self.strong(comp.body, rep))
         # bubble the equivalent copies to the front, then merge them
         for front, i in enumerate(t_idx):
             current = _spine_items(rw.at(pos))
@@ -1224,70 +1193,8 @@ class _Prover:
             return []
         steps_p, pbar = self.conc_prefix(action, p)
         steps_q, qbar = self.conc_prefix(action, q)
-        rw = _Rewriter(Prefix(action, pbar), self.budget)
-        rw.splice([0], self.strong_pterms(pbar, qbar))
-        return list(steps_p) + rw.steps + invert_steps(steps_q)
-
-    # -- rooted completeness
-
-    def rooted_states(self, e: NdTerm, f: NdTerm) -> list:
-        if e == f:
-            return []
-        key = (e, f)
-        if key in self._rooted_state_memo:
-            return list(self._rooted_state_memo[key])
-        rw_e = _Rewriter(e, self.budget)
-        _normalize_nd_at(rw_e, [])
-        rw_f = _Rewriter(f, self.budget)
-        _normalize_nd_at(rw_f, [])
-        if rw_e.term != rw_f.term:
-            analysis = branching_analysis(
-                frozenset({e, f, rw_e.term, rw_f.term}))
-            tables = analysis.tables
-
-            def matcher(summand, responders):
-                return _rooted_match_solution(
-                    tables, responders, summand.action,
-                    tables.stab_sig(den(summand.body)))
-
-            _saturate_and_pair(self, rw_e, rw_f, matcher, self.branching_prefix,
-                               lambda body: tables.stab_sig(den(body)))
-        steps = rw_e.steps + invert_steps(rw_f.steps)
-        self._rooted_state_memo[key] = tuple(steps)
-        return steps
-
-    def rooted_pterms(self, p: PTerm, q: PTerm) -> list:
-        if p == q:
-            return []
-        rw_p = _Rewriter(p, self.budget)
-        _normalize_p_at(rw_p, [])
-        rw_q = _Rewriter(q, self.budget)
-        _normalize_p_at(rw_q, [])
-        if rw_p.term != rw_q.term:
-            comps_p = [c.body for c in _spine_items(rw_p.term)]
-            comps_q = [c.body for c in _spine_items(rw_q.term)]
-            analysis = branching_analysis(frozenset(comps_p) | frozenset(comps_q))
-            rooted = rooted_partition_over(analysis, set(comps_p) | set(comps_q))
-            reps: dict = {}
-            for state in comps_p + comps_q:
-                cls = rooted.class_of(state)
-                cur = reps.get(cls)
-                if cur is None or (complexity(state), nd_key(state)) < (
-                        complexity(cur), nd_key(cur)):
-                    reps[cls] = state
-            for rw in (rw_p, rw_q):
-                spine = _spine_items(rw.term)
-                n = len(spine)
-                for i, comp in enumerate(spine):
-                    rep = reps[rooted.class_of(comp.body)]
-                    if comp.body != rep:
-                        pos = _spine_node_pos([], i) + ([0] if i < n - 1 else [])
-                        rw.splice(pos + [0], self.rooted_states(comp.body, rep))
-                _spine_sort(rw, [])
-                _spine_merge(rw, [])
-            if rw_p.term != rw_q.term:
-                raise ValueError("rooted component matching failed")
-        return rw_p.steps + invert_steps(rw_q.steps)
+        return (list(steps_p) + self.strong_prefix(action, pbar, qbar)
+                + invert_steps(steps_q))
 
     # -- the purely non-deterministic fragment (axiom B route)
 
@@ -1396,11 +1303,11 @@ def prove_equal(left, right, budget: int = 100000):
     prover = _Prover(budget)
     if isinstance(left, NdTerm) and isinstance(right, NdTerm):
         start, end = left, right
-        steps = prover.rooted_states(left, right)
+        steps = prover.rooted(left, right)
     else:
         start = left if isinstance(left, PTerm) else Dirac(left)
         end = right if isinstance(right, PTerm) else Dirac(right)
-        steps = prover.rooted_pterms(start, end)
+        steps = prover.pterms(start, end, _rooted_classes, prover.rooted)
     trace = ProofTrace(start, tuple(steps), end)
     trace.replay()
     return trace

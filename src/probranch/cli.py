@@ -2,7 +2,8 @@
 export and fuzz.
 
 Exit codes: 0 success / equivalent, 1 not equivalent (or failing fuzz
-trials), 2 usage or parse errors, 3 prover step-budget exhaustion.
+trials), 2 usage or parse errors, 3 resource limits: the prover's step
+budget or the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -183,6 +184,10 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("resource error: term nesting exceeds the recursion depth",
+              file=sys.stderr)
         return 3
 
 

@@ -22,6 +22,13 @@ exact-rational linear feasibility:
 
 * rooted-branching — strong first step, branching continuations.
 
+Each matching question is one LP, and the LP that answers it also
+returns its feasible point: `_strong_match` the weights over the
+responder's action-targets, `_Tables.transfer_feasible` the masses of
+every stage.  The prover (axioms.py) asks the same two questions and
+reads its matching weights from those points, so a proof step and the
+verdict it rests on come from the same LP.
+
 The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
 additionally identifies a point distribution with the mixture it
@@ -121,6 +128,9 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 
 # ---------------------------------------------------------------------------
 # Classification tables: inert transitions and stable signatures
+
+
+_UNSOLVED = object()  # _lp_cache miss; None is a cached infeasible answer
 
 
 class _Tables:
@@ -226,14 +236,17 @@ class _Tables:
     def transfer_feasible(self, start: Distribution, action: Action,
                           end_sig: tuple, *, weak_first: bool,
                           mid_sig: Optional[tuple], stabilize_end: bool,
-                          full_step: bool = False) -> bool:
-        """full_step forces a complete combined transition even for the
+                          full_step: bool = False) -> Optional[dict]:
+        """A feasible point of the transfer LP, or None.  The step weight
+        of transition i of state s is the point's ("y", s, i).
+
+        full_step forces a complete combined transition even for the
         silent action (the rooted first-step reading); otherwise a silent
         step may move any fraction, including none."""
         key = (start, action, end_sig, weak_first, mid_sig, stabilize_end,
                full_step)
-        hit = self._lp_cache.get(key)
-        if hit is not None:
+        hit = self._lp_cache.get(key, _UNSOLVED)
+        if hit is not _UNSOLVED:
             return hit
         out = self._transfer_lp(start, action, end_sig, weak_first=weak_first,
                                 mid_sig=mid_sig, stabilize_end=stabilize_end,
@@ -246,7 +259,7 @@ class _Tables:
                             key=nd_key))
 
     def _transfer_lp(self, start, action, end_sig, *, weak_first, mid_sig,
-                     stabilize_end, full_step=False) -> bool:
+                     stabilize_end, full_step=False) -> Optional[dict]:
         states = self._reach(start)
         lp = LP()
         taus = self.tau_transitions(states) if weak_first else ()
@@ -265,7 +278,7 @@ class _Tables:
             self._require_stable_sig(lp, oend, states, end_sig)
         else:
             self._require_sig(lp, nu2, states, end_sig)
-        return lp.feasible() is not None
+        return lp.feasible()
 
     def _step_stage(self, lp: LP, nubar: dict, states, action: Action,
                     full_step: bool = False) -> dict:
@@ -346,8 +359,29 @@ def _sig_sort_key(sig):
     return tuple((m.numerator, m.denominator) for m in sig)
 
 
-def _refine(check, initial: Partition):
-    """Generic signature-refinement loop.
+def _profiles(check, ctx, members: list):
+    """Group members by the (challenge, mid) combinations of their pool
+    they can answer.  Returns (pool, {(mid, answered): [member, ...]})."""
+    pool = sorted(
+        {(tr.action, check.challenge_sig(ctx, tr.target))
+         for m in members for tr in nd_transitions(m)},
+        key=lambda c: (action_key(c[0]), _sig_sort_key(c[1])))
+    mids = sorted({check.mid_of(ctx, m) for m in members},
+                  key=_sig_sort_key)
+    profiles: dict = {}
+    for m in members:
+        answered = frozenset(
+            (action, end, mid)
+            for action, end in pool for mid in mids
+            if check.respond(ctx, m, action, end, mid))
+        key = (check.mid_of(ctx, m), answered)
+        profiles.setdefault(key, []).append(m)
+    return pool, profiles
+
+
+def _refine(check, roots: frozenset):
+    """Generic signature-refinement loop over the roots' derivatives,
+    starting from a single class.
 
     Per round, each class collects its members' challenges (action plus
     required continuation signature) and mid signatures, and every member
@@ -356,7 +390,8 @@ def _refine(check, initial: Partition):
     answers its own challenges, so equal profiles imply the mutual
     transfer condition; grouping by profile is order-independent.
     """
-    partition = initial
+    states = frozenset().union(*(derivatives(r) for r in roots))
+    partition = partition_from_classes([states])
     trace = []
     while True:
         ctx = check.context(partition)
@@ -366,21 +401,7 @@ def _refine(check, initial: Partition):
             if len(cls) == 1:
                 new_classes.append(cls)
                 continue
-            members = sorted(cls, key=nd_key)
-            pool = sorted(
-                {(tr.action, check.challenge_sig(ctx, tr.target))
-                 for m in members for tr in nd_transitions(m)},
-                key=lambda c: (action_key(c[0]), _sig_sort_key(c[1])))
-            mids = sorted({check.mid_of(ctx, m) for m in members},
-                          key=_sig_sort_key)
-            profiles: dict = {}
-            for m in members:
-                answered = frozenset(
-                    (action, end, mid)
-                    for action, end in pool for mid in mids
-                    if check.respond(ctx, m, action, end, mid))
-                key = (check.mid_of(ctx, m), answered)
-                profiles.setdefault(key, []).append(m)
+            pool, profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
             if len(profiles) > 1:
                 changed = True
                 keys = sorted(profiles, key=lambda k: nd_key(profiles[k][0]))
@@ -419,9 +440,7 @@ class _BranchingCheck:
 
 @lru_cache(maxsize=512)
 def _branching_analysis(roots: frozenset) -> BranchingAnalysis:
-    states = frozenset().union(*(derivatives(r) for r in roots)) if roots else frozenset()
-    initial = partition_from_classes([states]) if states else Partition(frozenset(), ())
-    partition, tables, trace = _refine(_BranchingCheck(), initial)
+    partition, tables, trace = _refine(_BranchingCheck(), roots)
     return BranchingAnalysis(partition, tables, trace)
 
 
@@ -484,11 +503,12 @@ class _StrongCheck:
 
 @lru_cache(maxsize=100000)
 def _strong_match(partition: Partition, responder: NdTerm,
-                  action: Action, sig: tuple) -> bool:
-    """Some combined action-step of the responder hits the signature."""
+                  action: Action, sig: tuple) -> Optional[tuple]:
+    """Weights over state_targets(responder, action) whose combined step
+    hits the signature, or None when no combined action-step does."""
     targets = state_targets(responder, action)
     if not targets:
-        return False
+        return None
     lp = LP()
     for i, _ in enumerate(targets):
         lp.var(("x", i))
@@ -500,14 +520,15 @@ def _strong_match(partition: Partition, responder: NdTerm,
             if m != ZERO:
                 coeffs[("x", i)] = m
         lp.add_eq(coeffs, sig[k])
-    return lp.feasible() is not None
+    point = lp.feasible()
+    if point is None:
+        return None
+    return tuple(point[("x", i)] for i in range(len(targets)))
 
 
 @lru_cache(maxsize=512)
 def _strong_setup(roots: frozenset):
-    states = frozenset().union(*(derivatives(r) for r in roots)) if roots else frozenset()
-    initial = partition_from_classes([states]) if states else Partition(frozenset(), ())
-    partition, _, trace = _refine(_StrongCheck(), initial)
+    partition, _, trace = _refine(_StrongCheck(), roots)
     return partition, trace
 
 
@@ -534,16 +555,34 @@ def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
 # Rooted branching bisimilarity
 
 
+class _RootedCheck(_BranchingCheck):
+    """The rooted first step: a full combined step of the responder whose
+    target stabilizes onto the challenge target's classes.  Like
+    _StrongCheck's, `respond` returns the step's weights over
+    state_targets(state, action), or None."""
+
+    def mid_of(self, tables: _Tables, state: NdTerm):
+        return None
+
+    def respond(self, tables: _Tables, state, action, end_sig, mid):
+        point = tables.transfer_feasible(
+            dirac(state), action, end_sig,
+            weak_first=False, mid_sig=None, stabilize_end=True,
+            full_step=True)
+        if point is None:
+            return None
+        return tuple(point[("y", state, i)]
+                     for i, tr in enumerate(nd_transitions(state))
+                     if tr.action == action)
+
+
 def _rooted_pair_ok(analysis: BranchingAnalysis, e: NdTerm, f: NdTerm):
     """Strong first step with branching continuations, both directions."""
-    tables = analysis.tables
+    tables, check = analysis.tables, _RootedCheck()
     for challenger, responder in ((e, f), (f, e)):
         for tr in nd_transitions(challenger):
-            ok = tables.transfer_feasible(
-                dirac(responder), tr.action, tables.stab_sig(tr.target),
-                weak_first=False, mid_sig=None, stabilize_end=True,
-                full_step=True)
-            if not ok:
+            end = check.challenge_sig(tables, tr.target)
+            if not check.respond(tables, responder, tr.action, end, None):
                 return challenger, tr.action
     return None
 
@@ -572,26 +611,12 @@ def rooted_partition_over(analysis: BranchingAnalysis,
     grouped by the set of first-step challenges they can answer; a state
     answers its own challenges, so equal profiles give mutual matching.
     """
-    tables = analysis.tables
     by_class: dict = {}
-    for s in set(states):
+    for s in sorted(set(states), key=nd_key):
         by_class.setdefault(analysis.partition.class_of(s), []).append(s)
     groups = []
-    for _, members in sorted(by_class.items(),
-                             key=lambda kv: min(nd_key(s) for s in kv[1])):
-        pool = sorted(
-            {(tr.action, tables.stab_sig(tr.target))
-             for m in members for tr in nd_transitions(m)},
-            key=lambda c: (action_key(c[0]), _sig_sort_key(c[1])))
-        profiles: dict = {}
-        for m in members:
-            answered = frozenset(
-                (action, end) for action, end in pool
-                if tables.transfer_feasible(
-                    dirac(m), action, end,
-                    weak_first=False, mid_sig=None, stabilize_end=True,
-                    full_step=True))
-            profiles.setdefault(answered, []).append(m)
+    for members in by_class.values():
+        _, profiles = _profiles(_RootedCheck(), analysis.tables, members)
         groups.extend(profiles.values())
     return partition_from_classes(groups)
 

@@ -1,9 +1,10 @@
 """Exact rational arithmetic backend.
 
 Every probability, weight and mass in the package is an exact rational;
-no float ever enters a computation.  gmpy2's mpq is used when available
-(it is considerably faster than fractions.Fraction on dense pivoting),
-with Fraction as a drop-in fallback.  Both types hash and compare
+no float ever enters a computation.  `rat` is the backend type itself:
+gmpy2's mpq when the optional `gmpy2` extra is installed (it is
+considerably faster than fractions.Fraction on dense pivoting), with
+Fraction as a drop-in fallback.  Both types hash and compare
 consistently, are always stored in lowest terms and keep a positive
 denominator.
 """
@@ -11,23 +12,11 @@ denominator.
 from __future__ import annotations
 
 try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(num, den=None):
-        if den is None:
-            if isinstance(num, str):
-                return _mpq(num)
-            return _mpq(num)
-        return _mpq(num, den)
+    from gmpy2 import mpq as rat
 
     RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _mpq
-
-    def rat(num, den=None):
-        if den is None:
-            return _mpq(num)
-        return _mpq(num, den)
+except ImportError:
+    from fractions import Fraction as rat
 
     RAT_BACKEND = "fractions"
 
@@ -37,7 +26,7 @@ HALF = rat(1, 2)
 
 
 def is_rat(value) -> bool:
-    return isinstance(value, type(ZERO))
+    return isinstance(value, rat)
 
 
 def format_rat(q) -> str:

@@ -170,11 +170,6 @@ def partial_tau_successors(mu: Distribution) -> TransitionPolytope:
     return TransitionPolytope(TAU, mu, gens)
 
 
-def polytope_matches_signature(poly: TransitionPolytope, partition,
-                               signature: dict) -> bool:
-    return poly.matches_signature(partition, signature)
-
-
 # ---------------------------------------------------------------------------
 # Weak derivatives
 

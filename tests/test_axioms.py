@@ -346,9 +346,15 @@ def test_prove_equal_intro_terms():
     assert "P3" in rules
 
 
-def test_prove_equal_combined_transition_pair():
-    e = nd("a.D(b.D(0)) + a.D(c.D(0))")
-    f = nd("a.D(b.D(0)) + a.(D(b.D(0)) +[5/12] D(c.D(0))) + a.D(c.D(0))")
+@pytest.mark.parametrize("left,right", [
+    ("a.D(b.D(0)) + a.D(c.D(0))",
+     "a.D(b.D(0)) + a.(D(b.D(0)) +[5/12] D(c.D(0))) + a.D(c.D(0))"),
+    # under a prefix the match is strong: the strong saturation path
+    ("a.D(b.D(c.D(0)) + b.D(d.D(0)))",
+     "a.D(b.D(c.D(0)) + b.(D(c.D(0)) +[1/2] D(d.D(0))) + b.D(d.D(0)))"),
+], ids=["rooted", "strong-under-prefix"])
+def test_prove_equal_combined_transition_pair(left, right):
+    e, f = nd(left), nd(right)
     trace = prove_equal(e, f)
     assert isinstance(trace, ProofTrace)
     trace.replay()

@@ -89,6 +89,14 @@ def test_prove_budget_exit_three(capsys):
     assert "resource" in err
 
 
+def test_deep_term_exit_three(capsys):
+    deep = "a.D(" * 300 + "0" + ")" * 300
+    code, _, err = run(capsys, "check", "--rel", "strong",
+                       "--left", deep, "--right", deep)
+    assert code == 3
+    assert "resource error" in err
+
+
 def test_normalize_p(capsys):
     code, out, _ = run(capsys, "normalize", "--form", "p",
                        "--term", "D(a.D(0)) +[1/2] D(a.D(0))")

@@ -72,18 +72,7 @@ from .harness import (
 )
 from .parse import ParseError, parse_nd, parse_p, parse_term, print_nd, print_p, print_term
 from .rat import rat
-from .semantics import (
-    StateTransition,
-    TransitionPolytope,
-    WeakClosure,
-    nd_transitions,
-    partial_tau_successors,
-    stabilize,
-    to_dot,
-    transition_polytope,
-    weak_closure,
-    weak_reachable,
-)
+from .semantics import StateTransition, nd_transitions, to_dot, weak_reachable
 from .terms import (
     Action,
     Dirac,

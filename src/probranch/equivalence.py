@@ -50,6 +50,7 @@ from .semantics import (
     add_flow_result,
     nd_transitions,
     state_targets,
+    tau_transition_list,
 )
 from .terms import (
     Action,
@@ -188,14 +189,6 @@ class _Tables:
                 out.append((s, idx, nd_transitions(s)[idx].target))
         return tuple(out)
 
-    def tau_transitions(self, states) -> tuple:
-        out = []
-        for s in sorted(states, key=nd_key):
-            for idx, tr in enumerate(nd_transitions(s)):
-                if tr.action.is_tau:
-                    out.append((s, idx, tr.target))
-        return tuple(out)
-
     # -- inertness classification, bottom-up in complexity
 
     def _classify(self):
@@ -262,7 +255,7 @@ class _Tables:
                      stabilize_end, full_step=False) -> Optional[dict]:
         states = self._reach(start)
         lp = LP()
-        taus = self.tau_transitions(states) if weak_first else ()
+        taus = tau_transition_list(states) if weak_first else ()
         nubar = add_flow_result(lp, "w", dict(start.entries), states, taus)
 
         if mid_sig is not None:
@@ -361,7 +354,10 @@ def _sig_sort_key(sig):
 
 def _profiles(check, ctx, members: list):
     """Group members by the (challenge, mid) combinations of their pool
-    they can answer.  Returns (pool, {(mid, answered): [member, ...]})."""
+    they can answer.  Returns (pool, {(mid, answered): [member, ...]}).
+    A single member is its own group: no LP is solved for it."""
+    if len(members) == 1:
+        return [], {None: list(members)}
     pool = sorted(
         {(tr.action, check.challenge_sig(ctx, tr.target))
          for m in members for tr in nd_transitions(m)},
@@ -398,9 +394,6 @@ def _refine(check, roots: frozenset):
         new_classes = []
         changed = False
         for cls in partition.classes:
-            if len(cls) == 1:
-                new_classes.append(cls)
-                continue
             pool, profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
             if len(profiles) > 1:
                 changed = True
@@ -460,9 +453,8 @@ def _support_roots(*dists: Distribution) -> frozenset:
     return frozenset(out)
 
 
-def _mismatch_witness(analysis: BranchingAnalysis, left_sig, right_sig,
+def _mismatch_witness(partition: Partition, left_sig, right_sig,
                       action_path=()) -> dict:
-    partition = analysis.partition
     return {
         "action_path": list(action_path),
         "class_signature_left": _sig_dict(partition, left_sig),
@@ -480,7 +472,7 @@ def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
         return Verdict(True, "branching")
     path = [analysis.split_trace[-1]["action"]] if analysis.split_trace else []
     return Verdict(False, "branching",
-                   _mismatch_witness(analysis, left, right, path))
+                   _mismatch_witness(analysis.partition, left, right, path))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +535,9 @@ def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "strong")
-    witness = {
-        "action_path": [trace[-1]["action"]] if trace else [],
-        "class_signature_left": _sig_dict(partition, left),
-        "class_signature_right": _sig_dict(partition, right),
-    }
-    return Verdict(False, "strong", witness)
+    path = [trace[-1]["action"]] if trace else []
+    return Verdict(False, "strong",
+                   _mismatch_witness(partition, left, right, path))
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +582,9 @@ def rooted_branching_equiv_states(e: NdTerm, f: NdTerm) -> Verdict:
     failure = _rooted_pair_ok(analysis, e, f)
     if failure is None:
         return Verdict(True, "rooted-branching")
-    witness = {
-        "action_path": [failure[1].name],
-        "class_signature_left": _sig_dict(
-            analysis.partition, analysis.stab_sig(dirac(e))),
-        "class_signature_right": _sig_dict(
-            analysis.partition, analysis.stab_sig(dirac(f))),
-    }
-    return Verdict(False, "rooted-branching", witness)
+    return Verdict(False, "rooted-branching", _mismatch_witness(
+        analysis.partition, analysis.stab_sig(dirac(e)),
+        analysis.stab_sig(dirac(f)), [failure[1].name]))
 
 
 def rooted_partition_over(analysis: BranchingAnalysis,

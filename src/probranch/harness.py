@@ -39,7 +39,7 @@ from .equivalence import (
 from .lp import LP
 from .parse import print_term
 from .rat import ONE, ZERO, format_rat, rat
-from .semantics import add_flow_result, nd_transitions
+from .semantics import add_flow_result, nd_transitions, tau_transition_list
 from .terms import (
     Action,
     Dirac,
@@ -205,9 +205,7 @@ class _Candidate:
 
 def _candidate_valid(cand: _Candidate) -> bool:
     states = cand.states
-    taus = tuple(
-        (s, i, tr.target) for s in states
-        for i, tr in enumerate(nd_transitions(s)) if tr.action.is_tau)
+    taus = tau_transition_list(states)
 
     def transfer(responder_masses: dict, action, end_sig, mid_sig) -> bool:
         lp = LP()

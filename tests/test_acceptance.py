@@ -12,7 +12,7 @@ from probranch.axioms import (
     prove_equal,
 )
 from probranch.cli import main as cli_main
-from probranch.dist import den, derivatives, dirac
+from probranch.dist import den, derivatives
 from probranch.equivalence import (
     branching_equiv,
     check,
@@ -32,7 +32,6 @@ from probranch.harness import (
 )
 from probranch.parse import parse_nd, parse_p, print_term
 from probranch.rat import ONE, rat
-from probranch.semantics import transition_polytope
 from probranch.terms import (
     Action,
     Dirac,
@@ -104,16 +103,17 @@ def test_criterion_3_rooted_counterexample():
 
 def test_criterion_4_combined_transition():
     """The two-branch state combines its 1/2 and 1/3 choices into the
-    5/12 mixture, both as a member and as an exact signature."""
+    5/12 mixture, both as a direct match and as an exact strong
+    signature; weights outside [1/3, 1/2] are not combinations."""
     state = nd("a.(D(b.D(0)) +[1/2] D(c.D(0))) + "
                "a.(D(b.D(0)) +[1/3] D(c.D(0)))")
-    poly = transition_polytope(dirac(state), Action("a"))
     target = den(pt("D(b.D(0)) +[5/12] D(c.D(0))"))
-    assert poly.contains(target)
-    discrete = [frozenset({t}) for t in target.support]
-    sig = {frozenset({t}): m for t, m in target.entries}
-    assert sig[frozenset({nd("b.D(0)")})] == rat(5, 12)
-    assert poly.matches_signature(discrete, sig)
+    assert target.mass(nd("b.D(0)")) == rat(5, 12)
+    for r, inside in (("5/12", True), ("1/2", True), ("1/3", True),
+                      ("1/4", False), ("3/5", False)):
+        combo = Prefix(Action("a"), pt(f"D(b.D(0)) +[{r}] D(c.D(0))"))
+        assert sqsubseteq(combo, Dirac(state)) == inside, r
+        assert check("strong", state, Sum(state, combo)).equivalent == inside, r
     _report(4, "5/12 combined transition feasible and signature-exact")
 
 

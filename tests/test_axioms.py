@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from probranch import axioms
 from probranch.axioms import (
     AxiomId,
     BudgetExceededError,
@@ -27,9 +30,19 @@ from probranch.equivalence import (
     is_concrete,
     rooted_branching_equiv,
 )
+from probranch.harness import GenConfig, gen_nd
 from probranch.parse import parse_nd, parse_p, print_term
 from probranch.rat import rat
-from probranch.terms import Action, Dirac, Prefix, TAU, ZERO_TERM
+from probranch.terms import (
+    Action,
+    Dirac,
+    PChoice,
+    Prefix,
+    Sum,
+    TAU,
+    ZERO_TERM,
+    summands,
+)
 
 
 def nd(s):
@@ -359,6 +372,61 @@ def test_prove_equal_combined_transition_pair(left, right):
     assert isinstance(trace, ProofTrace)
     trace.replay()
     assert "C" in trace.rule_multiset()
+
+
+def _c_saturation_pairs(n):
+    """n seeded states E (distinct up to A1-A4), each paired with
+    E + alpha.(P +[r] Q) for two of its own visible alpha-summands whose
+    bodies have distinct distributions.  The extra summand is a combined
+    transition of E, so the prover must saturate E against it, and where
+    P and Q are not equivalent it has to introduce that summand by C."""
+    rng = random.Random(5)
+    pairs, seen = [], set()
+    seed = 0
+    while len(pairs) < n:
+        seed += 1
+        e = gen_nd(GenConfig(seed=seed, max_complexity=7, actions=("a", "b"),
+                             tau_bias=rat(1, 4)))
+        bodies = {}
+        for s in summands(e):
+            if isinstance(s, Prefix) and not s.action.is_tau:
+                bodies.setdefault(s.action, {}).setdefault(den(s.body), s.body)
+        options = [(action, list(by_den.values()))
+                   for action, by_den in sorted(bodies.items(),
+                                                key=lambda kv: kv[0].name)
+                   if len(by_den) >= 2]
+        normal = normalize_nd(e)[0]
+        if not options or normal in seen:
+            continue
+        seen.add(normal)
+        action, candidates = rng.choice(options)
+        p, q = rng.sample(candidates, 2)
+        r = rat(rng.randint(1, 5), 6)
+        pairs.append((e, Sum(e, Prefix(action, PChoice(p, r, q)))))
+    return pairs
+
+
+def test_prove_equal_c_saturation_seeded(monkeypatch):
+    calls = []
+    saturate = axioms._saturate_and_pair
+
+    def counting(*args):
+        calls.append(args)
+        return saturate(*args)
+
+    monkeypatch.setattr(axioms, "_saturate_and_pair", counting)
+    proofs = with_c = 0
+    for e, f in _c_saturation_pairs(8):
+        # bare: the rooted path; under a prefix: the strong path
+        for left, right in ((e, f), (Prefix(Action("a"), Dirac(e)),
+                                     Prefix(Action("a"), Dirac(f)))):
+            trace = prove_equal(left, right)
+            assert isinstance(trace, ProofTrace), print_term(right)
+            trace.replay()
+            proofs += 1
+            with_c += "C" in trace.rule_multiset()
+    assert len(calls) >= proofs == 16
+    assert with_c >= proofs // 2
 
 
 def test_prove_equal_budget():

@@ -1,16 +1,14 @@
 from probranch.dist import den, dirac, distribution, mix, weight
+from probranch.equivalence import branching_analysis, check, sqsubseteq
 from probranch.parse import parse_nd, parse_p
-from probranch.rat import ONE, rat
+from probranch.rat import rat
 from probranch.semantics import (
     nd_transitions,
-    partial_tau_successors,
-    stabilize,
+    state_targets,
     to_dot,
-    transition_polytope,
-    weak_closure,
     weak_reachable,
 )
-from probranch.terms import Action, TAU, ZERO_TERM
+from probranch.terms import Action, Prefix, Sum, ZERO_TERM
 
 
 def nd(s):
@@ -45,51 +43,54 @@ def test_nd_transitions_choice():
         ("a", dirac(ZERO_TERM)), ("tau", dirac(ZERO_TERM))}
 
 
+TWO_BRANCH = "a.(D(b.D(0)) +[1/2] D(c.D(0))) + a.(D(b.D(0)) +[1/3] D(c.D(0)))"
+
+
+def _a_mix(r):
+    """a.(D(b.D(0)) +[r] D(c.D(0)))"""
+    return Prefix(A, pt(f"D(b.D(0)) +[{r}] D(c.D(0))"))
+
+
 def test_combined_transition_five_twelfths():
-    # two a-branches with weights 1/2 and 1/3 combine to 5/12
-    state = nd("a.(D(b.D(0)) +[1/2] D(c.D(0))) + a.(D(b.D(0)) +[1/3] D(c.D(0)))")
-    poly = transition_polytope(dirac(state), A)
-    assert not poly.is_empty
-    target = den(pt("D(b.D(0)) +[5/12] D(c.D(0))"))
-    assert poly.contains(target)
-    assert poly.contains(den(pt("D(b.D(0)) +[1/2] D(c.D(0))")))
-    assert not poly.contains(den(pt("D(b.D(0)) +[1/4] D(c.D(0))")))
+    # two a-branches with weights 1/2 and 1/3 combine to 5/12: a.(mix r)
+    # is directly matched by a combined a-step iff r lies between them
+    source = pt(f"D({TWO_BRANCH})")
+    assert sqsubseteq(_a_mix("5/12"), source)
+    assert sqsubseteq(_a_mix("1/2"), source)
+    assert not sqsubseteq(_a_mix("1/4"), source)
 
 
 def test_polytope_empty_cases():
-    assert transition_polytope(dirac(ZERO_TERM), A).is_empty
-    assert transition_polytope(dirac(nd("a.D(0)")), B).is_empty
+    # no a-step from 0 and no b-step from a.D(0): nothing can match
+    assert state_targets(ZERO_TERM, A) == ()
+    assert state_targets(nd("a.D(0)"), B) == ()
+    assert not sqsubseteq(nd("a.D(0)"), pt("D(0)"))
+    assert not sqsubseteq(nd("b.D(0)"), pt("D(a.D(0))"))
 
 
 def test_polytope_signature_match():
-    poly = transition_polytope(dirac(nd("a.D(0)")), A)
-    discrete = [frozenset({ZERO_TERM}), frozenset({nd("a.D(0)")})]
-    assert poly.matches_signature(discrete, {frozenset({ZERO_TERM}): ONE})
-    assert not poly.matches_signature(
-        discrete, {frozenset({nd("a.D(0)")}): ONE})
+    # the a-step of a.D(0) lands on the class of 0, not on that of a.D(0)
+    assert sqsubseteq(nd("a.D(0)"), pt("D(a.D(0))"))
+    assert not sqsubseteq(nd("a.D(a.D(0))"), pt("D(a.D(0))"))
 
 
 def test_polytope_signature_five_twelfths():
-    state = nd("a.(D(b.D(0)) +[1/2] D(c.D(0))) + a.(D(b.D(0)) +[1/3] D(c.D(0)))")
-    poly = transition_polytope(dirac(state), A)
-    target = den(pt("D(b.D(0)) +[5/12] D(c.D(0))"))
-    discrete = [frozenset({t}) for t in target.support]
-    sig = {frozenset({t}): m for t, m in target.entries}
-    assert poly.matches_signature(discrete, sig)
+    # adding the 5/12 combination as a summand keeps strong equivalence:
+    # the combined step hits its signature exactly
+    state = nd(TWO_BRANCH)
+    assert check("strong", state, Sum(state, _a_mix("5/12"))).equivalent
+    assert not check("strong", state, Sum(state, _a_mix("1/4"))).equivalent
 
 
 def test_partial_tau_contains_tau_body():
     state = nd("tau.(D(b.D(0)) +[1/2] D(c.D(0)))")
-    poly = partial_tau_successors(dirac(state))
-    assert poly.contains(den(pt("D(b.D(0)) +[1/2] D(c.D(0))")))
-    assert poly.contains(dirac(state))  # zero firing
+    assert weak_reachable(dirac(state), den(pt("D(b.D(0)) +[1/2] D(c.D(0))")))
+    assert weak_reachable(dirac(state), dirac(state))  # zero firing
 
 
 def test_partial_tau_zero_only_self():
-    poly = partial_tau_successors(dirac(ZERO_TERM))
-    assert poly.contains(dirac(ZERO_TERM))
-    gens = dict(poly.per_state_generators)
-    assert gens[ZERO_TERM] == (dirac(ZERO_TERM),)
+    assert weak_reachable(dirac(ZERO_TERM), dirac(ZERO_TERM))
+    assert not weak_reachable(dirac(ZERO_TERM), dirac(nd("a.D(0)")))
 
 
 def test_partial_tau_mixture_display():
@@ -97,15 +98,16 @@ def test_partial_tau_mixture_display():
     state = nd("tau.(D(b.D(0)) +[1/2] D(c.D(0)))")
     body = den(pt("D(b.D(0)) +[1/2] D(c.D(0))"))
     mu = mix(dirac(state), rat(1, 3), body)
-    poly = partial_tau_successors(mu)
-    assert poly.contains(body)
+    assert weak_reachable(mu, body)
+    assert not weak_reachable(body, mu)
 
 
 def test_weak_closure_trivial():
-    wc = weak_closure(dirac(ZERO_TERM))
-    assert wc.generators == (dirac(ZERO_TERM),)
-    wc2 = weak_closure(dirac(nd("a.D(0)")))
-    assert wc2.generators == (dirac(nd("a.D(0)")),)
+    # no silent step: a state reaches only itself
+    assert weak_reachable(dirac(ZERO_TERM), dirac(ZERO_TERM))
+    a0 = nd("a.D(0)")
+    assert weak_reachable(dirac(a0), dirac(a0))
+    assert not weak_reachable(dirac(a0), dirac(ZERO_TERM))
 
 
 def test_weak_closure_chain_display():
@@ -115,18 +117,19 @@ def test_weak_closure_chain_display():
     target = nd("b.D(0)")
     mu = distribution({a_state: rat(1, 2), b_state: rat(1, 3),
                        target: rat(1, 6)})
-    wc = weak_closure(mu)
-    assert wc.contains(dirac(target))
     assert weak_reachable(mu, dirac(target))
     assert not weak_reachable(mu, dirac(ZERO_TERM))
 
 
 def test_weak_reflexivity_and_monotone_weight():
     mu = den(pt("D(tau.D(a.D(0))) +[1/2] D(0)"))
-    wc = weak_closure(mu)
-    assert wc.contains(mu)
-    for g in wc.generators:
-        assert weight(g) <= weight(mu)
+    assert weak_reachable(mu, mu)
+    fired = den(pt("D(a.D(0)) +[1/2] D(0)"))
+    part = den(pt("D(tau.D(a.D(0))) +[1/4] (D(a.D(0)) +[1/3] D(0))"))
+    for nu in (fired, part):
+        assert weak_reachable(mu, nu)
+        assert weight(nu) < weight(mu)
+        assert not weak_reachable(nu, mu)
 
 
 def test_weak_composition():
@@ -146,35 +149,32 @@ def test_weight_decrease_on_transitions():
             assert weight(tr.target) < weight(dirac(state))
 
 
+def _stable_form(state):
+    return branching_analysis([state]).stable_form(dirac(state))
+
+
 def test_stabilize_fires_inert_tau():
-    state = nd("tau.D(a.D(0))")
-    inner = nd("a.D(0)")
-    partition = [frozenset({state, inner}), frozenset({ZERO_TERM})]
-    assert stabilize(dirac(state), partition) == dirac(inner)
+    assert _stable_form(nd("tau.D(a.D(0))")) == dirac(nd("a.D(0)"))
 
 
 def test_stabilize_fixed_points():
-    partition = [frozenset({ZERO_TERM})]
-    assert stabilize(dirac(ZERO_TERM), partition) == dirac(ZERO_TERM)
+    assert _stable_form(ZERO_TERM) == dirac(ZERO_TERM)
     st = nd("a.D(0)")
-    part2 = [frozenset({st}), frozenset({ZERO_TERM})]
-    assert stabilize(dirac(st), part2) == dirac(st)
+    assert _stable_form(st) == dirac(st)
 
 
 def test_stabilize_idempotent():
-    state = nd("tau.D(a.D(0))")
-    inner = nd("a.D(0)")
-    partition = [frozenset({state, inner}), frozenset({ZERO_TERM})]
-    once = stabilize(dirac(state), partition)
-    assert stabilize(once, partition) == once
+    for text in ("tau.D(a.D(0))", "a.D(0)", "0", "tau.D(a.D(0)) + b.D(0)",
+                 "tau.(D(a.D(0)) +[1/2] D(tau.D(a.D(0))))"):
+        analysis = branching_analysis([nd(text)])
+        once = analysis.stable_form(dirac(nd(text)))
+        assert analysis.stable_form(once) == once
 
 
 def test_stabilize_respects_signature():
     # the tau target lands in a different class, so nothing may fire
     state = nd("tau.D(a.D(0)) + b.D(0)")
-    partition = [frozenset({state}), frozenset({nd("a.D(0)")}),
-                 frozenset({ZERO_TERM})]
-    assert stabilize(dirac(state), partition) == dirac(state)
+    assert _stable_form(state) == dirac(state)
 
 
 def test_dot_export_mentions_states_and_weights():

@@ -1,19 +1,24 @@
 """Exact-rational linear programming.
 
-A small dense two-phase simplex over exact rationals with Bland's rule,
-which guarantees termination and, together with exact arithmetic, makes
-every feasibility answer and optimum exact.  All variables are
-implicitly non-negative; constraints are equalities or <= inequalities
-(slacks are added internally).
+A two-phase simplex with Bland's rule, which guarantees termination and,
+together with exact arithmetic, makes every feasibility answer and
+optimum exact.  All variables are implicitly non-negative; constraints
+are equalities or <= inequalities (slacks are added internally).
 
-This is deliberately minimal: the polytopes arising from combined
-transitions and weak-transition flows at desk scale have tens of
-variables, so a dense tableau is both simple and fast enough.
+The tableau is fraction-free: a row is a list of Python ints ending in
+its positive denominator, built straight from the sparse constraint
+rows, so a pivot is integer arithmetic under either rational backend on
+the rows nonzero in its column.  Signs and ratios read numerators alone,
+so the pivots and every returned point are those of the rational
+tableau.  Solves are memoized by content (integer rows, columns, cost).
 """
 
 from __future__ import annotations
 
-from .rat import ZERO, ONE
+import functools
+from math import gcd, lcm
+
+from .rat import ZERO, ONE, rat
 
 
 class LP:
@@ -40,31 +45,27 @@ class LP:
     def _materialize(self, coeffs: dict) -> dict:
         out = {}
         for name, c in coeffs.items():
-            if c == ZERO:
-                continue
-            out[self._index[name]] = out.get(self._index[name], ZERO) + c
+            if c != ZERO:
+                out[self._index[name]] = out.get(self._index[name], ZERO) + c
         return out
 
     def _standard_form(self):
+        """The rows as int tuples (a_1, ..., a_n, rhs, d) meaning a_j/d with
+        rhs >= 0, and n: the variables, then one slack per <= row."""
         n = len(self._names)
+        total = n + sum(1 for _, rel, _ in self._rows if rel == "<=")
         rows = []
-        rhs = []
-        n_slack = sum(1 for _, rel, _ in self._rows if rel == "<=")
-        total = n + n_slack
         slack_at = n
         for coeffs, rel, b in self._rows:
-            row = [ZERO] * total
-            for j, c in coeffs.items():
-                row[j] = c
+            entries = dict(coeffs)
             if rel == "<=":
-                row[slack_at] = ONE
+                entries[slack_at] = ONE
                 slack_at += 1
-            if b < ZERO:
-                row = [-c for c in row]
-                b = -b
-            rows.append(row)
-            rhs.append(b)
-        return rows, rhs, total
+            entries[total] = b
+            row = _integer_row(entries, total + 1)
+            rows.append(tuple(-x for x in row[:-1]) + row[-1:]
+                        if b < ZERO else row)
+        return tuple(rows), total
 
     def feasible(self):
         """A feasible assignment as {name: Rat}, or None."""
@@ -76,136 +77,135 @@ class LP:
         The returned assignment includes the special key ``"__value__"``
         holding the optimum.
         """
-        rows, rhs, total = self._standard_form()
-        cost = [ZERO] * total
-        for name, c in objective.items():
-            cost[self._index[name]] += c
-        solution = _simplex(rows, rhs, cost)
+        rows, total = self._standard_form()
+        cost = _integer_row({self._index[name]: c
+                             for name, c in objective.items()}, total)
+        solution = _simplex(rows, total, cost)
         if solution is None:
             return None
-        x, value = solution
-        out = {name: x[j] for name, j in self._index.items()}
-        out["__value__"] = value
+        out = {name: solution[0][j] for name, j in self._index.items()}
+        out["__value__"] = solution[1]
         return out
 
     def maximize(self, objective: dict):
         res = self.minimize({k: -v for k, v in objective.items()})
-        if res is None:
-            return None
-        res["__value__"] = -res["__value__"]
+        if res is not None:
+            res["__value__"] = -res["__value__"]
         return res
 
 
-def _simplex(rows, rhs, cost):
-    """Solve min cost.x st rows.x = rhs, x >= 0 (rhs >= 0 on entry).
+def _integer_row(entries: dict, size: int) -> tuple:
+    """{column: Rat} as `size` ints over their lcm denominator, which is
+    appended.  `int()` turns gmpy2 numbers into plain ints."""
+    den = lcm(*(int(q.denominator) for q in entries.values()))
+    row = [0] * size + [den]
+    for j, q in entries.items():
+        row[j] = int(q.numerator) * (den // int(q.denominator))
+    return tuple(row)
 
-    Returns (x, value) or None when infeasible.  Unboundedness cannot
-    occur for the bounded mass/flow polytopes built in this package but
-    is reported as a ValueError defensively.
+
+@functools.lru_cache(maxsize=512)
+def _simplex(rows, n, cost):
+    """Solve min cost.x st rows.x = rhs, x >= 0 over integer rows.
+
+    Returns (x, value) as a tuple of Rats and a Rat, or None when
+    infeasible: immutable, as the memo hands them to every caller.
+    Unboundedness cannot occur for the bounded mass/flow polytopes built
+    in this package but is reported as a ValueError defensively.
     """
     m = len(rows)
-    n = len(rows[0]) if m else len(cost)
     if m == 0:
-        return [ZERO] * n, ZERO
-
+        return (ZERO,) * n, ZERO
     # Phase 1 tableau with one artificial variable per row.
     width = n + m
-    tab = [list(rows[i]) + [ONE if k == i else ZERO for k in range(m)] + [rhs[i]]
-           for i in range(m)]
+    tab = [list(row[:n]) + [0] * m + list(row[n:]) for row in rows]
+    for i, row in enumerate(rows):
+        tab[i][n + i] = row[-1]
     basis = [n + i for i in range(m)]
     # Reduced-cost row z_j - c_j for min sum(artificials); the b-cell
     # holds the current objective value (the artificial mass left).
-    zrow = [ZERO] * (width + 1)
-    for i in range(m):
-        for j in range(n):
-            zrow[j] += tab[i][j]
-        zrow[width] += tab[i][width]
-
+    den = lcm(*(row[-1] for row in rows))
+    sums = [sum(col) for col in zip(*(
+        [x * (den // row[-1]) for x in row[:-1]] for row in rows))]
+    zrow = sums[:n] + [0] * m + [sums[n], den]
     _pivot_to_optimum(tab, basis, zrow, width)
-    if zrow[width] != ZERO:
+    if zrow[width]:
         return None  # min sum of artificials > 0: infeasible
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if tab[i][j] != ZERO), None)
+            pivot_col = next((j for j in range(n) if tab[i][j]), None)
             if pivot_col is None:
                 continue  # redundant row
             _pivot(tab, basis, zrow, i, pivot_col, width)
         keep.append(i)
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    m = len(tab)
 
-    # Phase 2 with the real objective (artificial columns masked off).
+    # Phase 2 with the real objective (artificial columns masked off):
+    # -c, with every basic column eliminated.
     for row in tab:
-        for j in range(n, width):
-            row[j] = ZERO
-    zrow = [ZERO] * (width + 1)
-    for j in range(n):
-        zrow[j] = -cost[j]
-    for i in range(m):
-        cb = cost[basis[i]] if basis[i] < n else ZERO
-        if cb != ZERO:
-            for j in range(width + 1):
-                zrow[j] += cb * tab[i][j]
-    for j in range(n, width):
-        zrow[j] = -ONE  # forbid artificials from re-entering
-
+        row[n:width] = [0] * m
+    zrow = [-c for c in cost[:n]] + [0] * (m + 1) + [cost[-1]]
+    for row, b in zip(tab, basis):
+        if zrow[b]:
+            zrow = _eliminate(zrow, row, range(width + 1), b)
+    zrow[n:width] = [-zrow[-1]] * m  # forbid artificials from re-entering
     _pivot_to_optimum(tab, basis, zrow, width)
 
     x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][width]
-    return x, zrow[width]
+    for row, b in zip(tab, basis):
+        x[b] = rat(row[width], row[-1])
+    return tuple(x), rat(zrow[width], zrow[-1])
 
 
 def _pivot_to_optimum(tab, basis, zrow, width):
     # Maintain zrow[j] = z_j - c_j; optimal when all entries <= 0.
     while True:
-        enter = None
-        for j in range(width):
-            if zrow[j] > ZERO:
-                enter = j  # Bland: smallest index
-                break
-        if enter is None:
+        enter = next((j for j in range(width) if zrow[j] > 0), None)
+        if enter is None:  # Bland: the smallest index enters
             return
+        # Ratio test, ties to the smallest basic index.  With a > 0 the
+        # row denominators cancel in b/a: cross-multiply the numerators.
         leave = None
-        best = None
-        for i in range(len(tab)):
-            a = tab[i][enter]
-            if a > ZERO:
-                ratio = tab[i][width] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0 and (leave is None or (
+                    (row[width] * tab[leave][enter], basis[i])
+                    < (tab[leave][width] * a, basis[leave]))):
+                leave = i
         if leave is None:
             raise ValueError("LP unbounded; malformed constraint system")
         _pivot(tab, basis, zrow, leave, enter, width)
 
 
 def _pivot(tab, basis, zrow, row, col, width):
-    pivot_row = tab[row]
-    p = pivot_row[col]
-    if p != ONE:
-        inv = ONE / p
-        for j in range(width + 1):
-            if pivot_row[j] != ZERO:
-                pivot_row[j] *= inv
+    # Dividing by the pivot entry makes it the row's denominator.
+    pivot_row = tab[row][:-1] + [tab[row][col]]
+    if pivot_row[-1] < 0:
+        pivot_row = [-x for x in pivot_row]
+    tab[row] = pivot_row = _reduced(pivot_row)
+    support = [j for j in range(width + 1) if pivot_row[j]]
     for i, other in enumerate(tab):
-        if i == row:
-            continue
-        f = other[col]
-        if f != ZERO:
-            for j in range(width + 1):
-                if pivot_row[j] != ZERO:
-                    other[j] -= f * pivot_row[j]
-    f = zrow[col]
-    if f != ZERO:
-        for j in range(width + 1):
-            if pivot_row[j] != ZERO:
-                zrow[j] -= f * pivot_row[j]
+        if i != row and other[col]:
+            tab[i] = _eliminate(other, pivot_row, support, col)
+    if zrow[col]:
+        zrow[:] = _eliminate(zrow, pivot_row, support, col)
     basis[row] = col
+
+
+def _eliminate(row, pivot_row, support, col) -> list:
+    """Zero `row` in column `col` with the pivot row, whose entry there
+    equals its denominator p: (row*p - row[col]*pivot_row) / (d*p)."""
+    f, p = row[col], pivot_row[-1]
+    out = [x * p for x in row] if p != 1 else list(row)
+    for j in support:
+        out[j] -= f * pivot_row[j]
+    return _reduced(out)
+
+
+def _reduced(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row

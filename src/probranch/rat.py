@@ -2,11 +2,10 @@
 
 Every probability, weight and mass in the package is an exact rational;
 no float ever enters a computation.  `rat` is the backend type itself:
-gmpy2's mpq when the optional `gmpy2` extra is installed (it is
-considerably faster than fractions.Fraction on dense pivoting), with
+gmpy2's mpq when the optional `gmpy2` extra is installed, with
 Fraction as a drop-in fallback.  Both types hash and compare
 consistently, are always stored in lowest terms and keep a positive
-denominator.
+denominator.  The LP engine pivots on Python ints under either backend.
 """
 
 from __future__ import annotations

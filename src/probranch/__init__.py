@@ -49,13 +49,11 @@ from .equivalence import (
     branching_equiv,
     branching_partition,
     check,
-    discrete_partition,
     inertness,
     is_concrete,
     is_rigid,
     partition_from_classes,
     rooted_branching_equiv,
-    rooted_branching_equiv_states,
     sqsubseteq,
     strong_equiv,
     strong_partition,

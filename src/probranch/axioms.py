@@ -465,27 +465,27 @@ def _chain_swap(rw: _Rewriter, base, n: int, i: int):
         "E": node.left, "F": node.right.left, "G": node.right.right})
 
 
-def _chain_move(rw: _Rewriter, base, n: int, src: int, dst: int):
-    """Move element src to index dst by adjacent swaps."""
+def _move(swap, rw: _Rewriter, base, n: int, src: int, dst: int):
+    """Move element src of an n-element chain or spine to index dst by
+    adjacent swaps; swap(rw, base, n, i) exchanges elements i and i+1."""
     i = src
     while i > dst:
-        _chain_swap(rw, base, n, i - 1)
+        swap(rw, base, n, i - 1)
         i -= 1
     while i < dst:
-        _chain_swap(rw, base, n, i)
+        swap(rw, base, n, i)
         i += 1
 
 
-def _chain_sort(rw: _Rewriter, base, key=nd_key):
-    items = _chain_items(rw.at(base))
-    n = len(items)
-    if n < 2:
-        return
-    for end in range(n - 1, 0, -1):  # bubble sort, deterministic
+def _bubble_sort(swap, items_of, key, rw: _Rewriter, base):
+    """Sort the chain or spine at base by adjacent swaps (bubble sort, so
+    the swap sequence is deterministic)."""
+    n = len(items_of(rw.at(base)))
+    for end in range(n - 1, 0, -1):
         for i in range(end):
-            items = _chain_items(rw.at(base))
+            items = items_of(rw.at(base))
             if key(items[i]) > key(items[i + 1]):
-                _chain_swap(rw, base, n, i)
+                swap(rw, base, n, i)
 
 
 def _chain_dedupe(rw: _Rewriter, base):
@@ -581,28 +581,6 @@ def _spine_swap(rw: _Rewriter, base, n: int, i: int):
         "rbar": node.left.weight, "sbar": node.weight})
 
 
-def _spine_move(rw: _Rewriter, base, n: int, src: int, dst: int):
-    i = src
-    while i > dst:
-        _spine_swap(rw, base, n, i - 1)
-        i -= 1
-    while i < dst:
-        _spine_swap(rw, base, n, i)
-        i += 1
-
-
-def _spine_sort(rw: _Rewriter, base, key=p_key):
-    items = _spine_items(rw.at(base))
-    n = len(items)
-    if n < 2:
-        return
-    for end in range(n - 1, 0, -1):
-        for i in range(end):
-            items = _spine_items(rw.at(base))
-            if key(items[i]) > key(items[i + 1]):
-                _spine_swap(rw, base, n, i)
-
-
 def _spine_merge(rw: _Rewriter, base):
     """Merge adjacent equal components (P3) of a sorted spine."""
     while True:
@@ -645,7 +623,7 @@ def _normalize_nd_at(rw: _Rewriter, pos):
         elem = rw.at(elem_pos)
         if isinstance(elem, Prefix):
             _normalize_p_at(rw, elem_pos + [0])
-    _chain_sort(rw, pos)
+    _bubble_sort(_chain_swap, _chain_items, nd_key, rw, pos)
     _chain_dedupe(rw, pos)
     _chain_drop_zeros(rw, pos)
 
@@ -662,7 +640,7 @@ def _normalize_p_at(rw: _Rewriter, pos):
         comp = rw.at(comp_pos)
         if isinstance(comp, Dirac):
             _normalize_nd_at(rw, comp_pos + [0])
-    _spine_sort(rw, pos)
+    _bubble_sort(_spine_swap, _spine_items, p_key, rw, pos)
     _spine_merge(rw, pos)
 
 
@@ -821,7 +799,7 @@ class _ChainEditor:
         return _chain_items(self.rw.term)
 
     def move(self, src: int, dst: int):
-        _chain_move(self.rw, [], len(self.items()), src, dst)
+        _move(_chain_swap, self.rw, [], len(self.items()), src, dst)
 
     def build_combo(self, action: Action, weighted_bodies):
         """Introduce the summand action.(fold of weighted bodies) by C
@@ -999,7 +977,7 @@ class _Prover:
                     if comp.body != rep:
                         pos = _spine_node_pos([], i) + ([0] if i < n - 1 else [])
                         rw.splice(pos + [0], prove_states(comp.body, rep))
-                _spine_sort(rw, [])
+                _bubble_sort(_spine_swap, _spine_items, p_key, rw, [])
                 _spine_merge(rw, [])
             if rw_p.term != rw_q.term:
                 raise ValueError("component matching failed")
@@ -1034,11 +1012,11 @@ class _Prover:
             while pending:
                 _right_assoc_p(rw, [0])
                 m = len(_spine_items(rw.at([0])))
-                _spine_move(rw, [0], m, m - 1, 0)
+                _move(_spine_swap, rw, [0], m, m - 1, 0)
                 self._conc_state_front(rw, action)
                 pending -= 1
             _right_assoc_p(rw, [0])
-            _spine_sort(rw, [0])
+            _bubble_sort(_spine_swap, _spine_items, p_key, rw, [0])
             _spine_merge(rw, [0])
         pbar = rw.term.body
         self._conc_memo[key] = (tuple(rw.steps), pbar)
@@ -1105,7 +1083,7 @@ class _Prover:
                     rw.apply(AxiomId.SBP2, [], "LR",
                              {"alpha": action, "P": body, "r": w, "R": rest})
                 else:
-                    _chain_move(rw, base, len(items), j, len(items) - 1)
+                    _move(_chain_swap, rw, base, len(items), j, len(items) - 1)
                     h_term = rw.at(base + [0])
                     rw.apply(AxiomId.BP, [], "LR",
                              {"alpha": action, "E": h_term, "P": body,
@@ -1118,7 +1096,7 @@ class _Prover:
             n = len(items)
             body_pos = _chain_elem_pos(base, n, j) + [0]
             self._reshape_partial(rw, body_pos, cls)
-            _chain_move(rw, base, n, j, 0)
+            _move(_chain_swap, rw, base, n, j, 0)
             _right_assoc_nd(rw, base)
             tau_summand = rw.at(base + [0])
             h_term = rw.at(base + [1])
@@ -1149,7 +1127,7 @@ class _Prover:
             current = _spine_items(rw.at(pos))
             src = next(k for k in range(front, len(current))
                        if current[k] == Dirac(rep))
-            _spine_move(rw, pos, len(current), src, front)
+            _move(_spine_swap, rw, pos, len(current), src, front)
         _spine_merge(rw, pos)
 
     def _conc_state_bare(self, rw: _Rewriter, action: Action):
@@ -1166,7 +1144,7 @@ class _Prover:
             if len(items) == 1:
                 rw.apply(AxiomId.SBP3, [], "LR", {"alpha": action, "P": body})
             else:
-                _chain_move(rw, base, len(items), j, len(items) - 1)
+                _move(_chain_swap, rw, base, len(items), j, len(items) - 1)
                 h_term = rw.at(base + [0])
                 rw.apply(AxiomId.SBP1, [], "LR",
                          {"alpha": action, "E": h_term, "P": body})
@@ -1240,7 +1218,8 @@ class _Prover:
                 rw.apply(AxiomId.B, [], "LR",
                          {"alpha": action, "E": inner, "F": ZERO_TERM})
             else:
-                _chain_move(rw, base, len(items), inert_j, len(items) - 1)
+                _move(_chain_swap, rw, base, len(items), inert_j,
+                      len(items) - 1)
                 h_term = rw.at(base + [0])
                 inner = rw.at(base + [1]).body.body
                 rw.splice(base + [1],

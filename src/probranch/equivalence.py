@@ -21,6 +21,11 @@ exact-rational linear feasibility:
   linear feasibility problem over firing masses.
 
 * rooted-branching — strong first step, branching continuations.
+  Rooted refines branching, so each branching class is split once more
+  by the same profile step: members are grouped by the first-step
+  challenges they answer with a full combined step whose target
+  stabilizes onto the challenge's classes.  States, terms and
+  distributions all go through this one step.
 
 Each matching question is one LP, and the LP that answers it also
 returns its feasible point: `_strong_match` the weights over the
@@ -28,6 +33,10 @@ responder's action-targets, `_Tables.transfer_feasible` the masses of
 every stage.  The prover (axioms.py) asks the same two questions and
 reads its matching weights from those points, so a proof step and the
 verdict it rests on come from the same LP.
+
+A not-equivalent verdict of any relation carries the class masses of
+both sides under the partition that decided it, and the action of the
+split that separated the classes.
 
 The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
@@ -96,10 +105,6 @@ def partition_from_classes(classes: Iterable) -> Partition:
                          key=lambda c: min(nd_key(s) for s in c)))
     universe = frozenset().union(*canon) if canon else frozenset()
     return Partition(universe, canon)
-
-
-def discrete_partition(states: Iterable[NdTerm]) -> Partition:
-    return partition_from_classes([{s} for s in states])
 
 
 @dataclass(frozen=True)
@@ -219,31 +224,30 @@ class _Tables:
             if tr.action.is_tau and tr.target == rho:
                 continue  # answered by rho staying put
             if not self.transfer_feasible(
-                    rho, tr.action, self.stab_sig(tr.target),
-                    weak_first=True, mid_sig=rho_sig, stabilize_end=True):
+                    rho, tr.action, self.stab_sig(tr.target), rho_sig):
                 return False
         return True
 
     # -- the transfer feasibility LP
 
     def transfer_feasible(self, start: Distribution, action: Action,
-                          end_sig: tuple, *, weak_first: bool,
-                          mid_sig: Optional[tuple], stabilize_end: bool,
+                          end_sig: tuple, mid_sig: Optional[tuple] = None,
                           full_step: bool = False) -> Optional[dict]:
         """A feasible point of the transfer LP, or None.  The step weight
         of transition i of state s is the point's ("y", s, i).
 
+        Does `start` answer an `action` challenge whose target stabilizes
+        onto end_sig?  With a mid_sig, the answer may first move silently
+        to a weak derivative that stabilizes onto mid_sig (the branching
+        reading); without one, the step leaves from `start` itself.
         full_step forces a complete combined transition even for the
         silent action (the rooted first-step reading); otherwise a silent
         step may move any fraction, including none."""
-        key = (start, action, end_sig, weak_first, mid_sig, stabilize_end,
-               full_step)
+        key = (start, action, end_sig, mid_sig, full_step)
         hit = self._lp_cache.get(key, _UNSOLVED)
         if hit is not _UNSOLVED:
             return hit
-        out = self._transfer_lp(start, action, end_sig, weak_first=weak_first,
-                                mid_sig=mid_sig, stabilize_end=stabilize_end,
-                                full_step=full_step)
+        out = self._transfer_lp(start, action, end_sig, mid_sig, full_step)
         self._lp_cache[key] = out
         return out
 
@@ -251,11 +255,11 @@ class _Tables:
         return tuple(sorted(set().union(*(derivatives(s) for s in mu.support)),
                             key=nd_key))
 
-    def _transfer_lp(self, start, action, end_sig, *, weak_first, mid_sig,
-                     stabilize_end, full_step=False) -> Optional[dict]:
+    def _transfer_lp(self, start, action, end_sig, mid_sig=None,
+                     full_step=False) -> Optional[dict]:
         states = self._reach(start)
         lp = LP()
-        taus = tau_transition_list(states) if weak_first else ()
+        taus = tau_transition_list(states) if mid_sig is not None else ()
         nubar = add_flow_result(lp, "w", dict(start.entries), states, taus)
 
         if mid_sig is not None:
@@ -263,23 +267,19 @@ class _Tables:
                                    states, self.inert_transitions(states))
             self._require_stable_sig(lp, omid, states, mid_sig)
 
-        nu2 = self._step_stage(lp, nubar, states, action, full_step=full_step)
+        self._step_stage(lp, nubar, states, action, full_step=full_step)
 
-        if stabilize_end:
-            oend = add_flow_result(lp, "e", {s: ("s", "m", s) for s in states},
-                                   states, self.inert_transitions(states))
-            self._require_stable_sig(lp, oend, states, end_sig)
-        else:
-            self._require_sig(lp, nu2, states, end_sig)
+        oend = add_flow_result(lp, "e", {s: ("s", "m", s) for s in states},
+                               states, self.inert_transitions(states))
+        self._require_stable_sig(lp, oend, states, end_sig)
         return lp.feasible()
 
     def _step_stage(self, lp: LP, nubar: dict, states, action: Action,
-                    full_step: bool = False) -> dict:
-        """One action step from the stage-1 masses: a full combined step
-        for a visible action (or when forced), a partial and possibly
-        trivial step for tau."""
+                    full_step: bool = False):
+        """One action step from the stage-1 masses into the ("s", "m", s)
+        masses: a full combined step for a visible action (or when
+        forced), a partial and possibly trivial step for tau."""
         partial = action.is_tau and not full_step
-        result = {}
         moves = {
             s: [(i, tr.target) for i, tr in enumerate(nd_transitions(s))
                 if tr.action == action]
@@ -296,9 +296,7 @@ class _Tables:
             else:
                 lp.add_eq(coeffs, ZERO)  # must move everything
         for s in states:
-            v = lp.var(("s", "m", s))
-            result[s] = v
-            coeffs = {v: ONE}
+            coeffs = {lp.var(("s", "m", s)): ONE}
             if partial:
                 coeffs[nubar[s]] = coeffs.get(nubar[s], ZERO) - ONE
                 for i, _ in moves[s]:
@@ -309,18 +307,13 @@ class _Tables:
                     if m != ZERO:
                         coeffs[("y", src, i)] = coeffs.get(("y", src, i), ZERO) - m
             lp.add_eq(coeffs, ZERO)
-        return result
-
-    def _require_sig(self, lp: LP, masses: dict, states, sig: tuple):
-        for k, cls in enumerate(self.partition.classes):
-            members = [s for s in states if s in cls]
-            lp.add_eq({masses[s]: ONE for s in members}, sig[k])
 
     def _require_stable_sig(self, lp: LP, masses: dict, states, sig: tuple):
         for s in states:
             if s in self.unstable:
                 lp.add_eq({masses[s]: ONE}, ZERO)
-        self._require_sig(lp, masses, states, sig)
+        for k, cls in enumerate(self.partition.classes):
+            lp.add_eq({masses[s]: ONE for s in states if s in cls}, sig[k])
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +331,6 @@ class BranchingAnalysis:
 
     def stable_form(self, mu: Distribution) -> Distribution:
         return self.tables.stable_form(mu)
-
-    def equivalent(self, mu: Distribution, nu: Distribution) -> bool:
-        return self.stab_sig(mu) == self.stab_sig(nu)
 
     def state_equivalent(self, e: NdTerm, f: NdTerm) -> bool:
         return self.partition.class_of(e) is self.partition.class_of(f)
@@ -375,6 +365,14 @@ def _profiles(check, ctx, members: list):
     return pool, profiles
 
 
+def _split_action(pool, one, other) -> Action:
+    """The action that tells two profile keys apart: the smallest one
+    among the challenges exactly one of them answers, or, when only
+    their mid signatures differ, among all challenges of the pool."""
+    diff = (one[1] ^ other[1]) or {(a, e, None) for a, e in pool}
+    return min((d[0] for d in diff), key=action_key)
+
+
 def _refine(check, roots: frozenset):
     """Generic signature-refinement loop over the roots' derivatives,
     starting from a single class.
@@ -400,12 +398,9 @@ def _refine(check, roots: frozenset):
                 keys = sorted(profiles, key=lambda k: nd_key(profiles[k][0]))
                 base = keys[0]
                 for other in keys[1:]:
-                    diff = (base[1] ^ other[1]) or {(a, e, None)
-                                                   for a, e in pool}
-                    action = sorted(diff, key=lambda d: action_key(d[0]))[0][0]
                     trace.append({
                         "class": _class_label(cls),
-                        "action": action.name,
+                        "action": _split_action(pool, base, other).name,
                         "left": print_nd(profiles[base][0]),
                         "right": print_nd(profiles[other][0]),
                     })
@@ -426,9 +421,7 @@ class _BranchingCheck:
         return tables.stabsig_state[state]
 
     def respond(self, tables: _Tables, state, action, end_sig, mid):
-        return tables.transfer_feasible(
-            dirac(state), action, end_sig,
-            weak_first=True, mid_sig=mid, stabilize_end=True)
+        return tables.transfer_feasible(dirac(state), action, end_sig, mid)
 
 
 @lru_cache(maxsize=512)
@@ -453,6 +446,11 @@ def _support_roots(*dists: Distribution) -> frozenset:
     return frozenset(out)
 
 
+def _last_split(trace) -> list:
+    """The action of the last split of a refinement, as an action path."""
+    return [trace[-1]["action"]] if trace else []
+
+
 def _mismatch_witness(partition: Partition, left_sig, right_sig,
                       action_path=()) -> dict:
     return {
@@ -470,9 +468,8 @@ def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     right = analysis.stab_sig(nu)
     if left == right:
         return Verdict(True, "branching")
-    path = [analysis.split_trace[-1]["action"]] if analysis.split_trace else []
-    return Verdict(False, "branching",
-                   _mismatch_witness(analysis.partition, left, right, path))
+    return Verdict(False, "branching", _mismatch_witness(
+        analysis.partition, left, right, _last_split(analysis.split_trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +490,6 @@ class _StrongCheck:
         return _strong_match(partition, state, action, end_sig)
 
 
-@lru_cache(maxsize=100000)
 def _strong_match(partition: Partition, responder: NdTerm,
                   action: Action, sig: tuple) -> Optional[tuple]:
     """Weights over state_targets(responder, action) whose combined step
@@ -535,9 +531,8 @@ def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "strong")
-    path = [trace[-1]["action"]] if trace else []
-    return Verdict(False, "strong",
-                   _mismatch_witness(partition, left, right, path))
+    return Verdict(False, "strong", _mismatch_witness(
+        partition, left, right, _last_split(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,37 +549,13 @@ class _RootedCheck(_BranchingCheck):
         return None
 
     def respond(self, tables: _Tables, state, action, end_sig, mid):
-        point = tables.transfer_feasible(
-            dirac(state), action, end_sig,
-            weak_first=False, mid_sig=None, stabilize_end=True,
-            full_step=True)
+        point = tables.transfer_feasible(dirac(state), action, end_sig,
+                                         full_step=True)
         if point is None:
             return None
         return tuple(point[("y", state, i)]
                      for i, tr in enumerate(nd_transitions(state))
                      if tr.action == action)
-
-
-def _rooted_pair_ok(analysis: BranchingAnalysis, e: NdTerm, f: NdTerm):
-    """Strong first step with branching continuations, both directions."""
-    tables, check = analysis.tables, _RootedCheck()
-    for challenger, responder in ((e, f), (f, e)):
-        for tr in nd_transitions(challenger):
-            end = check.challenge_sig(tables, tr.target)
-            if not check.respond(tables, responder, tr.action, end, None):
-                return challenger, tr.action
-    return None
-
-
-def rooted_branching_equiv_states(e: NdTerm, f: NdTerm) -> Verdict:
-    """Rooted branching bisimilarity of two states."""
-    analysis = branching_analysis(frozenset({e, f}))
-    failure = _rooted_pair_ok(analysis, e, f)
-    if failure is None:
-        return Verdict(True, "rooted-branching")
-    return Verdict(False, "rooted-branching", _mismatch_witness(
-        analysis.partition, analysis.stab_sig(dirac(e)),
-        analysis.stab_sig(dirac(f)), [failure[1].name]))
 
 
 def rooted_partition_over(analysis: BranchingAnalysis,
@@ -605,38 +576,48 @@ def rooted_partition_over(analysis: BranchingAnalysis,
     return partition_from_classes(groups)
 
 
+def _rooted_split_path(analysis: BranchingAnalysis, states,
+                       cls: frozenset) -> list:
+    """The action that split the rooted class `cls` off the rest of its
+    branching class among `states`, by _refine's rule; the last branching
+    split action when the rooted step split nothing off."""
+    members = sorted(analysis.partition.class_of(min(cls, key=nd_key))
+                     & states, key=nd_key)
+    if len(members) == len(cls):
+        return _last_split(analysis.split_trace)
+    pool, profiles = _profiles(_RootedCheck(), analysis.tables, members)
+    keys = sorted(profiles, key=lambda k: nd_key(profiles[k][0]))
+    own = next(k for k in keys if frozenset(profiles[k]) == cls)
+    other = keys[1] if own == keys[0] else keys[0]
+    return [_split_action(pool, own, other).name]
+
+
 def rooted_branching_equiv(p, q) -> Verdict:
     """Rooted branching bisimilarity of two probabilistic terms or
-    distributions: equal mass per rooted-branching state class."""
+    distributions (a state as its Dirac distribution): equal mass per
+    rooted-branching state class."""
     mu = den(p) if isinstance(p, PTerm) else p
     nu = den(q) if isinstance(q, PTerm) else q
     analysis = branching_analysis(_support_roots(mu, nu))
-    partition = rooted_partition_over(analysis, set(mu.support) | set(nu.support))
+    states = frozenset(mu.support) | frozenset(nu.support)
+    partition = rooted_partition_over(analysis, states)
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "rooted-branching")
     k = next(i for i in range(len(left)) if left[i] != right[i])
-    witness = {
-        "action_path": [],
-        "class": _class_label(partition.classes[k]),
-        "class_signature_left": _sig_dict(partition, left),
-        "class_signature_right": _sig_dict(partition, right),
-    }
-    return Verdict(False, "rooted-branching", witness)
+    path = _rooted_split_path(analysis, states, partition.classes[k])
+    return Verdict(False, "rooted-branching",
+                   _mismatch_witness(partition, left, right, path))
 
 
 def check(relation: str, left, right) -> Verdict:
     """Dispatch a named relation over terms of either sort."""
+    decide = {"strong": strong_equiv, "branching": branching_equiv,
+              "rooted-branching": rooted_branching_equiv}.get(relation)
+    if decide is None:
+        raise ValueError(f"unknown relation: {relation!r}")
     as_dist = lambda t: den(t) if isinstance(t, PTerm) else dirac(t)
-    if relation == "strong":
-        return strong_equiv(as_dist(left), as_dist(right))
-    if relation == "branching":
-        return branching_equiv(as_dist(left), as_dist(right))
-    if relation == "rooted-branching":
-        if isinstance(left, NdTerm) and isinstance(right, NdTerm):
-            return rooted_branching_equiv_states(left, right)
-        return rooted_branching_equiv(as_dist(left), as_dist(right))
-    raise ValueError(f"unknown relation: {relation!r}")
+    return decide(as_dist(left), as_dist(right))
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +731,8 @@ def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
     analysis = branching_analysis(frozenset({state}) | frozenset(target.support))
     tables = analysis.tables
     for tr in nd_transitions(state):
-        ok = tables.transfer_feasible(
-            target, tr.action, tables.stab_sig(tr.target),
-            weak_first=False, mid_sig=None, stabilize_end=True)
+        ok = tables.transfer_feasible(target, tr.action,
+                                      tables.stab_sig(tr.target))
         if not ok:
             return False
     return True

@@ -31,15 +31,3 @@ def is_rat(value) -> bool:
 def format_rat(q) -> str:
     """Render as "p/q"; the denominator is always printed."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(text: str):
-    """Parse "p/q" or a plain integer string."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d <= 0:
-            raise ValueError(f"denominator must be positive: {text!r}")
-        return rat(int(num), d)
-    return rat(int(text))

@@ -164,13 +164,6 @@ def p_key(term: PTerm):
     raise TypeError(f"not a PTerm: {term!r}")
 
 
-def term_key(term):
-    """Sort key usable across both sorts (NdTerms sort before PTerms)."""
-    if isinstance(term, NdTerm):
-        return (0, nd_key(term))
-    return (1, p_key(term))
-
-
 @lru_cache(maxsize=None)
 def complexity(term) -> int:
     """Structural complexity: c(0)=0, c(a.P)=c(P)+1, c(E+F)=c(E)+c(F),

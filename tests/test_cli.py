@@ -39,6 +39,19 @@ def test_check_json_schema(capsys):
     assert payload["equivalent"] is True
 
 
+def test_check_rooted_witness_json(capsys):
+    # the README's second example: branching equivalent, not rooted
+    code, out, _ = run(capsys, "check", "--rel", "rooted-branching", "--json",
+                       "--left", "D(tau.D(a.D(0))) +[1/2] D(b.D(0))",
+                       "--right", "D(a.D(0)) +[1/2] D(b.D(0))")
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert "class" not in witness
+    assert witness["action_path"] == ["tau"]
+    assert (witness["class_signature_left"]
+            != witness["class_signature_right"])
+
+
 def test_check_parse_error_exit_two(capsys):
     code, _, err = run(capsys, "check", "--rel", "strong",
                        "--left", "a.D(0) + +", "--right", "0")

@@ -5,12 +5,12 @@ import itertools
 import random
 
 from probranch.dist import den, derivatives, dirac, distribution
-from probranch.equivalence import branching_analysis
-from probranch.harness import GenConfig, gen_p
+from probranch.equivalence import branching_analysis, check
+from probranch.harness import GenConfig, gen_p, random_equivalent_pair
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
 from probranch.semantics import nd_transitions, state_targets, weak_reachable
-from probranch.terms import TAU, nd_key
+from probranch.terms import TAU, ZERO_TERM, Action, Dirac, Prefix, Sum, nd_key
 
 
 def _hull_contains(gens, point):
@@ -105,6 +105,50 @@ def test_stable_forms_are_weak_derivatives():
         analysis = branching_analysis(frozenset(mu.support))
         stable = analysis.stable_form(mu)
         assert weak_reachable(mu, stable)
+
+
+def _rooted_pair_ok(e, f) -> bool:
+    """Rooted branching bisimilarity of two states by the pairwise
+    definition: every transition of either is answered by a full
+    combined step of the other whose target stabilizes onto the same
+    branching classes."""
+    tables = branching_analysis({e, f}).tables
+    for challenger, responder in ((e, f), (f, e)):
+        for tr in nd_transitions(challenger):
+            if tables.transfer_feasible(
+                    dirac(responder), tr.action, tables.stab_sig(tr.target),
+                    full_step=True) is None:
+                return False
+    return True
+
+
+def test_rooted_check_matches_pairwise_oracle():
+    """The rooted decider's profile step agrees with the pairwise
+    first-step check on sound rewrites, fresh-action extensions, silent
+    prefixes and added silent summands, and its witnesses separate."""
+    rng = random.Random(29)
+    fresh = Prefix(Action("z"), Dirac(ZERO_TERM))
+    outcomes = set()
+    for _ in range(30):
+        e, f = random_equivalent_pair(
+            rng, GenConfig(seed=rng.randrange(2 ** 32), max_complexity=6),
+            sort="nd")
+        silent = Prefix(TAU, Dirac(e))
+        for left, right in ((e, f), (e, Sum(e, fresh)), (e, silent),
+                            (e, Sum(e, silent))):
+            verdict = check("rooted-branching", left, right)
+            assert verdict.equivalent == _rooted_pair_ok(left, right), (
+                left, right)
+            if verdict.equivalent:
+                outcomes.add("equivalent")
+                continue
+            witness = verdict.witness
+            assert (witness["class_signature_left"]
+                    != witness["class_signature_right"])
+            same = branching_analysis({left, right}).state_equivalent(
+                left, right)
+            outcomes.add("within" if same else "across")
+    assert outcomes == {"equivalent", "within", "across"}
 
 
 def test_deciders_transitive_on_sampled_triples():

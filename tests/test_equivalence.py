@@ -13,7 +13,6 @@ from probranch.equivalence import (
     is_concrete,
     is_rigid,
     rooted_branching_equiv,
-    rooted_branching_equiv_states,
     sqsubseteq,
     strong_equiv,
     strong_partition,
@@ -116,7 +115,7 @@ def test_branching_lemma8_iii_shape():
 
 def test_rooted_reflexive():
     e = nd("a.D(0) + tau.D(b.D(0))")
-    assert rooted_branching_equiv_states(e, e).equivalent
+    assert check("rooted-branching", e, e).equivalent
 
 
 def test_rooted_intro_terms():
@@ -125,9 +124,9 @@ def test_rooted_intro_terms():
     t0 = nd("a.(D(b.D(0)) +[1/2] D(c.D(0)))")
     u0 = nd("a.(D(tau.(D(b.D(0)) +[1/2] D(c.D(0)))) +[1/3] "
             "(D(b.D(0)) +[1/2] D(c.D(0))))")
-    assert rooted_branching_equiv_states(s0, t0).equivalent
-    assert rooted_branching_equiv_states(t0, u0).equivalent
-    assert rooted_branching_equiv_states(s0, u0).equivalent
+    assert check("rooted-branching", s0, t0).equivalent
+    assert check("rooted-branching", t0, u0).equivalent
+    assert check("rooted-branching", s0, u0).equivalent
     # strong must separate the first from the second
     assert not strong_equiv(dirac(s0), dirac(t0)).equivalent
 
@@ -142,7 +141,7 @@ def test_rooted_counterexample_pterms():
 def test_rooted_zero_vs_tau_counterexample():
     e = nd("0 + b.D(0)")
     f = nd("tau.D(0) + b.D(0)")
-    assert not rooted_branching_equiv_states(e, f).equivalent
+    assert not check("rooted-branching", e, f).equivalent
 
 
 def test_inclusion_chain_on_samples():
@@ -289,8 +288,19 @@ def test_rooted_first_step_must_be_full():
     b = pt("D(tau.D(tau.D(0)))")
     assert branching_equiv(den(a), den(b)).equivalent
     assert not rooted_branching_equiv(a, b).equivalent
-    assert not rooted_branching_equiv_states(ZERO_TERM, nd("tau.D(0)")).equivalent
+    assert not check("rooted-branching", ZERO_TERM, nd("tau.D(0)")).equivalent
     # both of these offer a genuine first silent step, so they are rooted
     # equivalent even though their towers have different heights
-    assert rooted_branching_equiv_states(nd("tau.D(0)"),
-                                         nd("tau.D(tau.D(0))")).equivalent
+    assert check("rooted-branching", nd("tau.D(0)"),
+                 nd("tau.D(tau.D(0))")).equivalent
+
+
+def test_rooted_state_witness_separates():
+    # 0 and tau.D(0) are branching equivalent; only the rooted first step
+    # tells them apart, so the witness names tau and two distinct classes
+    v = check("rooted-branching", ZERO_TERM, nd("tau.D(0)"))
+    assert not v.equivalent
+    assert v.witness["action_path"] == ["tau"]
+    assert "class" not in v.witness
+    assert (v.witness["class_signature_left"]
+            != v.witness["class_signature_right"])

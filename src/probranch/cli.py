@@ -2,8 +2,9 @@
 export and fuzz.
 
 Exit codes: 0 success / equivalent, 1 not equivalent (or failing fuzz
-trials), 2 usage or parse errors, 3 resource limits: the prover's step
-budget or the interpreter's recursion depth.
+trials), 2 usage or parse errors, or an @FILE that cannot be read as
+UTF-8 text, 3 resource limits: the prover's step budget or the
+interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -32,9 +33,16 @@ SCHEMA = "probranch/1"
 RELATIONS = ("strong", "branching", "rooted-branching")
 
 
+class InputFileError(Exception):
+    """An @FILE argument that cannot be read as UTF-8 text."""
+
+
 def _load_term(spec: str):
     if spec.startswith("@"):
-        text = Path(spec[1:]).read_text(encoding="utf-8")
+        try:
+            text = Path(spec[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFileError(f"cannot read {spec[1:]}: {exc}") from exc
     else:
         text = spec
     return parse_term(text)
@@ -179,7 +187,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -1,5 +1,8 @@
 """Finite-support exact-rational distributions over non-deterministic terms,
-decompositions, and the structural measures built on them."""
+decompositions, and the structural measures built on them.
+
+A Distribution, like a term, computes its hash on the first call and
+keeps it (see ``terms.hash_once``)."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from typing import Iterable, Mapping
 from .rat import ZERO, ONE, rat
 from .terms import (
     Dirac,
+    Hashed,
     NdTerm,
     PChoice,
     Prefix,
@@ -17,6 +21,7 @@ from .terms import (
     Zero,
     ZERO_TERM,
     complexity,
+    hash_once,
     nd_key,
     summands,
 )
@@ -31,7 +36,7 @@ class MismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(Hashed):
     """Probability distribution of finite support.
 
     Canonical form: entries sorted by the term order, equal support terms
@@ -39,6 +44,8 @@ class Distribution:
     """
 
     entries: tuple  # tuple[(NdTerm, Rat), ...]
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         total = sum((m for _, m in self.entries), ZERO)

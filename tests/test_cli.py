@@ -79,6 +79,22 @@ def test_missing_file_exit_two(capsys):
     assert code == 2
 
 
+def test_directory_file_exit_two(tmp_path, capsys):
+    code, _, err = run(capsys, "check", "--rel", "strong",
+                       "--left", f"@{tmp_path}", "--right", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_non_utf8_file_exit_two(tmp_path, capsys):
+    f = tmp_path / "left.term"
+    f.write_bytes(b"a.D(0) + \xff")
+    code, _, err = run(capsys, "check", "--rel", "strong",
+                       "--left", f"@{f}", "--right", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_prove_outputs_jsonl(capsys):
     code, out, _ = run(capsys, "prove", "--left", "b.D(0) + a.D(0)",
                        "--right", "a.D(0) + b.D(0)")

@@ -1,6 +1,16 @@
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from probranch.parse import parse_nd, parse_p
+import probranch
+from probranch.dist import Distribution, den, dirac
+from probranch.harness import GenConfig, gen_nd, gen_p
+from probranch.parse import parse_nd, parse_p, parse_term, print_term
 from probranch.rat import rat
 from probranch.terms import (
     TAU,
@@ -8,6 +18,7 @@ from probranch.terms import (
     Dirac,
     PChoice,
     Prefix,
+    PTerm,
     Sum,
     ZERO_TERM,
     complexity,
@@ -116,3 +127,78 @@ def test_complexity_positive_with_prefix_or_dirac():
     for s in ["a.D(0)", "tau.D(0)", "0 + a.D(0)"]:
         assert complexity(parse_nd(s)) > 0
     assert complexity(parse_p("D(0)")) > 0
+
+
+
+def _seeded_terms(n=40):
+    for seed in range(n):
+        cfg = GenConfig(seed=seed, max_complexity=10)
+        yield gen_nd(cfg)
+        yield gen_p(cfg)
+
+
+def _fresh_copy(t):
+    return parse_term(print_term(t))
+
+
+def test_equal_nodes_hash_equal_whichever_is_hashed_first():
+    for t in _seeded_terms():
+        mu = den(t) if isinstance(t, PTerm) else dirac(t)
+        for first in (0, 1):
+            copies = [_fresh_copy(t), _fresh_copy(t)]
+            dists = [Distribution(tuple((_fresh_copy(s), m)
+                                        for s, m in mu.entries))
+                     for _ in range(2)]
+            for nodes in (copies, dists):
+                hashes = [None, None]
+                hashes[first] = hash(nodes[first])
+                hashes[1 - first] = hash(nodes[1 - first])
+                assert nodes[0] == nodes[1] == (t if nodes is copies else mu)
+                assert hashes[0] == hashes[1] == hash(nodes[0])
+                # the value of the generated dataclass hash
+                assert hashes[0] == hash(tuple(
+                    getattr(nodes[0], f.name) for f in fields(nodes[0])))
+
+
+def _chain(depth):
+    t = ZERO_TERM
+    for _ in range(depth):
+        t = Prefix(Action("a"), Dirac(t))
+    return t
+
+
+def test_second_hash_of_a_deep_chain_needs_no_recursion():
+    t = _chain(150)
+    mu = den(Dirac(t))
+    first = hash(t), hash(mu)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        again = hash(t), hash(mu)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert again == first
+
+
+_LOOKUP = """
+import pickle, sys
+from probranch.parse import parse_term
+table = pickle.load(sys.stdin.buffer)
+for text in table.values():
+    assert table[parse_term(text)] == text, text
+print(len(table))
+"""
+
+
+def test_pickled_table_of_terms_loads_under_another_hash_seed():
+    terms = list(_seeded_terms(10))
+    table = {t: print_term(t) for t in terms}
+    assert all(hash(t) == hash(_fresh_copy(t)) for t in terms)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(probranch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LOOKUP],
+                          input=pickle.dumps(table), env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) == len(table)

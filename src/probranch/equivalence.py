@@ -4,7 +4,12 @@ direct-matching preorder used by the conditional axioms.
 
 Strategy.  All three relations are decided by partition refinement over
 the joint derivative state set, with transfer conditions checked by
-exact-rational linear feasibility:
+exact-rational linear feasibility.  Refinement starts from the classes
+of states that can reach the same visible actions: branching
+bisimilarity preserves weak traces and strong bisimilarity is contained
+in it, so both relations refine that start, and the coarsest stable
+refinement of a partition that a bisimilarity refines is the
+bisimilarity itself.
 
 * strong — a state pair survives iff every transition of one is matched
   by a combined transition of the other with the same class-mass vector.
@@ -35,8 +40,11 @@ reads its matching weights from those points, so a proof step and the
 verdict it rests on come from the same LP.
 
 A not-equivalent verdict of any relation carries the class masses of
-both sides under the partition that decided it, and the action of the
-split that separated the classes.
+both sides under the partition that decided it, and an action that
+separates them: the smallest action of a challenge that exactly one of
+two representatives answers, one from the first class where the left
+side has more mass and one from the first where the right side has
+more, profiled by the relation's own check.
 
 The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
@@ -324,7 +332,6 @@ class _Tables:
 class BranchingAnalysis:
     partition: Partition
     tables: _Tables
-    split_trace: tuple
 
     def stab_sig(self, mu: Distribution) -> tuple:
         return self.tables.stab_sig(mu)
@@ -342,18 +349,25 @@ def _sig_sort_key(sig):
     return tuple((m.numerator, m.denominator) for m in sig)
 
 
-def _profiles(check, ctx, members: list):
-    """Group members by the (challenge, mid) combinations of their pool
-    they can answer.  Returns (pool, {(mid, answered): [member, ...]}).
-    A single member is its own group: no LP is solved for it."""
-    if len(members) == 1:
-        return [], {None: list(members)}
+def _pool(check, ctx, members) -> tuple:
+    """The members' challenges, (action, continuation signature), in
+    action order, and their mid signatures."""
     pool = sorted(
         {(tr.action, check.challenge_sig(ctx, tr.target))
          for m in members for tr in nd_transitions(m)},
         key=lambda c: (action_key(c[0]), _sig_sort_key(c[1])))
     mids = sorted({check.mid_of(ctx, m) for m in members},
                   key=_sig_sort_key)
+    return pool, mids
+
+
+def _profiles(check, ctx, members: list) -> dict:
+    """Group members by the (challenge, mid) combinations of their pool
+    they can answer: {(mid, answered): [member, ...]}.  A single member
+    is its own group: no LP is solved for it."""
+    if len(members) == 1:
+        return {None: list(members)}
+    pool, mids = _pool(check, ctx, members)
     profiles: dict = {}
     for m in members:
         answered = frozenset(
@@ -362,20 +376,46 @@ def _profiles(check, ctx, members: list):
             if check.respond(ctx, m, action, end, mid))
         key = (check.mid_of(ctx, m), answered)
         profiles.setdefault(key, []).append(m)
-    return pool, profiles
+    return profiles
 
 
-def _split_action(pool, one, other) -> Action:
-    """The action that tells two profile keys apart: the smallest one
-    among the challenges exactly one of them answers, or, when only
-    their mid signatures differ, among all challenges of the pool."""
-    diff = (one[1] ^ other[1]) or {(a, e, None) for a, e in pool}
-    return min((d[0] for d in diff), key=action_key)
+def _split_action(check, ctx, one: NdTerm, other: NdTerm) -> list:
+    """The action that tells two states of different classes apart, as
+    an action path: the smallest action of a (challenge, mid) of their
+    joint pool that exactly one of them answers, or, when only their mid
+    signatures differ, the smallest action of the pool.  The pool is in
+    action order, so the first difference found is the smallest."""
+    pool, mids = _pool(check, ctx, [one, other])
+    for action, end in pool:
+        for mid in mids:
+            if (not check.respond(ctx, one, action, end, mid)) != (
+                    not check.respond(ctx, other, action, end, mid)):
+                return [action.name]
+    return [pool[0][0].name] if pool else []
+
+
+def _start_partition(states) -> Partition:
+    """Classes of states with the same set of visible actions anywhere in
+    their derivatives.  Every step lowers complexity, so one bottom-up
+    pass sees each state after all of its targets."""
+    reach: dict = {}
+    for s in sorted(states, key=lambda s: (complexity(s), nd_key(s))):
+        actions = set()
+        for tr in nd_transitions(s):
+            if not tr.action.is_tau:
+                actions.add(tr.action)
+            for t in tr.target.support:
+                actions |= reach[t]
+        reach[s] = frozenset(actions)
+    groups: dict = {}
+    for s, actions in reach.items():
+        groups.setdefault(actions, set()).add(s)
+    return partition_from_classes(groups.values())
 
 
 def _refine(check, roots: frozenset):
     """Generic signature-refinement loop over the roots' derivatives,
-    starting from a single class.
+    starting from the classes of _start_partition.
 
     Per round, each class collects its members' challenges (action plus
     required continuation signature) and mid signatures, and every member
@@ -385,28 +425,15 @@ def _refine(check, roots: frozenset):
     transfer condition; grouping by profile is order-independent.
     """
     states = frozenset().union(*(derivatives(r) for r in roots))
-    partition = partition_from_classes([states])
-    trace = []
+    partition = _start_partition(states)
     while True:
         ctx = check.context(partition)
         new_classes = []
-        changed = False
         for cls in partition.classes:
-            pool, profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
-            if len(profiles) > 1:
-                changed = True
-                keys = sorted(profiles, key=lambda k: nd_key(profiles[k][0]))
-                base = keys[0]
-                for other in keys[1:]:
-                    trace.append({
-                        "class": _class_label(cls),
-                        "action": _split_action(pool, base, other).name,
-                        "left": print_nd(profiles[base][0]),
-                        "right": print_nd(profiles[other][0]),
-                    })
+            profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
             new_classes.extend(frozenset(g) for g in profiles.values())
-        if not changed:
-            return partition, ctx, tuple(trace)
+        if len(new_classes) == len(partition.classes):
+            return partition, ctx
         partition = partition_from_classes(new_classes)
 
 
@@ -426,8 +453,7 @@ class _BranchingCheck:
 
 @lru_cache(maxsize=512)
 def _branching_analysis(roots: frozenset) -> BranchingAnalysis:
-    partition, tables, trace = _refine(_BranchingCheck(), roots)
-    return BranchingAnalysis(partition, tables, trace)
+    return BranchingAnalysis(*_refine(_BranchingCheck(), roots))
 
 
 def branching_analysis(roots: Iterable[NdTerm]) -> BranchingAnalysis:
@@ -446,15 +472,17 @@ def _support_roots(*dists: Distribution) -> frozenset:
     return frozenset(out)
 
 
-def _last_split(trace) -> list:
-    """The action of the last split of a refinement, as an action path."""
-    return [trace[-1]["action"]] if trace else []
-
-
-def _mismatch_witness(partition: Partition, left_sig, right_sig,
-                      action_path=()) -> dict:
+def _mismatch_witness(check, ctx, partition: Partition, left_sig,
+                      right_sig) -> dict:
+    """The class masses of both sides and the action that separates a
+    representative of the first class where the left side has more mass
+    from one of the first class where the right side has more."""
+    reps = []
+    for more, less in ((left_sig, right_sig), (right_sig, left_sig)):
+        k = next(k for k, (m, n) in enumerate(zip(more, less)) if m > n)
+        reps.append(min(partition.classes[k], key=nd_key))
     return {
-        "action_path": list(action_path),
+        "action_path": _split_action(check, ctx, *reps),
         "class_signature_left": _sig_dict(partition, left_sig),
         "class_signature_right": _sig_dict(partition, right_sig),
     }
@@ -469,7 +497,7 @@ def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     if left == right:
         return Verdict(True, "branching")
     return Verdict(False, "branching", _mismatch_witness(
-        analysis.partition, left, right, _last_split(analysis.split_trace)))
+        _BranchingCheck(), analysis.tables, analysis.partition, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +543,23 @@ def _strong_match(partition: Partition, responder: NdTerm,
 
 
 @lru_cache(maxsize=512)
-def _strong_setup(roots: frozenset):
-    partition, _, trace = _refine(_StrongCheck(), roots)
-    return partition, trace
+def _strong_partition(roots: frozenset) -> Partition:
+    return _refine(_StrongCheck(), roots)[0]
 
 
 def strong_partition(roots: Iterable[NdTerm]) -> Partition:
     """Coarsest strong-bisimulation partition of the joint derivative set."""
-    return _strong_setup(frozenset(roots))[0]
+    return _strong_partition(frozenset(roots))
 
 
 def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     """Strong probabilistic bisimilarity: equal class masses per strong class."""
-    partition, trace = _strong_setup(_support_roots(mu, nu))
+    partition = _strong_partition(_support_roots(mu, nu))
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "strong")
     return Verdict(False, "strong", _mismatch_witness(
-        partition, left, right, _last_split(trace)))
+        _StrongCheck(), partition, partition, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +598,9 @@ def rooted_partition_over(analysis: BranchingAnalysis,
         by_class.setdefault(analysis.partition.class_of(s), []).append(s)
     groups = []
     for members in by_class.values():
-        _, profiles = _profiles(_RootedCheck(), analysis.tables, members)
-        groups.extend(profiles.values())
+        groups.extend(
+            _profiles(_RootedCheck(), analysis.tables, members).values())
     return partition_from_classes(groups)
-
-
-def _rooted_split_path(analysis: BranchingAnalysis, states,
-                       cls: frozenset) -> list:
-    """The action that split the rooted class `cls` off the rest of its
-    branching class among `states`, by _refine's rule; the last branching
-    split action when the rooted step split nothing off."""
-    members = sorted(analysis.partition.class_of(min(cls, key=nd_key))
-                     & states, key=nd_key)
-    if len(members) == len(cls):
-        return _last_split(analysis.split_trace)
-    pool, profiles = _profiles(_RootedCheck(), analysis.tables, members)
-    keys = sorted(profiles, key=lambda k: nd_key(profiles[k][0]))
-    own = next(k for k in keys if frozenset(profiles[k]) == cls)
-    other = keys[1] if own == keys[0] else keys[0]
-    return [_split_action(pool, own, other).name]
 
 
 def rooted_branching_equiv(p, q) -> Verdict:
@@ -604,10 +615,8 @@ def rooted_branching_equiv(p, q) -> Verdict:
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "rooted-branching")
-    k = next(i for i in range(len(left)) if left[i] != right[i])
-    path = _rooted_split_path(analysis, states, partition.classes[k])
-    return Verdict(False, "rooted-branching",
-                   _mismatch_witness(partition, left, right, path))
+    return Verdict(False, "rooted-branching", _mismatch_witness(
+        _RootedCheck(), analysis.tables, partition, left, right))
 
 
 def check(relation: str, left, right) -> Verdict:

@@ -4,9 +4,18 @@ independent representations must agree."""
 import itertools
 import random
 
+from probranch import equivalence
 from probranch.dist import den, derivatives, dirac, distribution
-from probranch.equivalence import branching_analysis, check
-from probranch.harness import GenConfig, gen_p, random_equivalent_pair
+from probranch.equivalence import (
+    _BranchingCheck,
+    _StrongCheck,
+    _profiles,
+    _start_partition,
+    branching_analysis,
+    check,
+    partition_from_classes,
+)
+from probranch.harness import GenConfig, gen_nd, gen_p, random_equivalent_pair
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
 from probranch.semantics import nd_transitions, state_targets, weak_reachable
@@ -254,3 +263,89 @@ def test_random_roundtrip_parse_print():
         assert parse_nd(print_nd(t)) == t
         p = gen_p(GenConfig(seed=seed + 9999, max_complexity=9))
         assert parse_p(print_p(p)) == p
+
+
+def _refine_from_one_class(check, roots):
+    """The refinement loop started from one class that holds every
+    state: the oracle for the decider's start partition."""
+    states = frozenset().union(*(derivatives(r) for r in roots))
+    partition = partition_from_classes([states])
+    while True:
+        ctx = check.context(partition)
+        groups = [group for cls in partition.classes for group in
+                  _profiles(check, ctx, sorted(cls, key=nd_key)).values()]
+        if len(groups) == len(partition.classes):
+            return partition, ctx
+        partition = partition_from_classes(groups)
+
+
+def _tau_heavy_root_sets(count):
+    """Seeded root sets of four shapes: the support of a probabilistic
+    term, E beside E + tau.D(E), a sound rewrite pair, and two mixed
+    tau-sums of two states; complexity 6-12, tau bias 1/4-2/3."""
+    rng = random.Random(41)
+    biases = (rat(1, 4), rat(1, 3), rat(1, 2), rat(2, 3))
+    for k in range(count):
+        cfg = GenConfig(seed=rng.randrange(2 ** 32),
+                        max_complexity=6 + k % 7, tau_bias=biases[k % 4])
+        shape = k % 4
+        if shape == 0:
+            yield frozenset(den(gen_p(cfg)).support)
+        elif shape == 1:
+            e = gen_nd(cfg)
+            yield frozenset({e, Sum(e, Prefix(TAU, Dirac(e)))})
+        elif shape == 2:
+            yield frozenset(random_equivalent_pair(rng, cfg, sort="nd"))
+        else:
+            e = gen_nd(cfg)
+            f = gen_nd(GenConfig(seed=cfg.seed + 1, max_complexity=6,
+                                 tau_bias=cfg.tau_bias))
+            yield frozenset({Sum(e, Prefix(TAU, Dirac(f))),
+                             Sum(Prefix(TAU, Dirac(e)), f)})
+
+
+def test_start_partition_gives_the_one_class_fixpoint():
+    """Refinement from the reachable-visible-action classes ends at the
+    same strong partition, and the same branching partition and tables,
+    as refinement from one class; and every final class lies inside one
+    start class."""
+    for roots in _tau_heavy_root_sets(96):
+        states = frozenset().union(*(derivatives(r) for r in roots))
+        start = _start_partition(states)
+        strong, _ = _refine_from_one_class(_StrongCheck(), roots)
+        assert equivalence.strong_partition(roots) == strong, roots
+        partition, tables = _refine_from_one_class(_BranchingCheck(), roots)
+        analysis = branching_analysis(roots)
+        assert analysis.partition == partition, roots
+        assert analysis.tables.inert == tables.inert, roots
+        assert analysis.tables.stabsig_state == tables.stabsig_state, roots
+        for cls in strong.classes + partition.classes:
+            assert len({start.index_of(s) for s in cls}) == 1, (roots, cls)
+
+
+def test_start_partition_solves_fewer_lps(monkeypatch):
+    """On seeded E against E + z.D(0), strong and rooted-branching checks
+    solve fewer LPs than with refinement from one class."""
+    fresh = Prefix(Action("z"), Dirac(ZERO_TERM))
+    pairs = [(e, Sum(e, fresh)) for e in (
+        gen_nd(GenConfig(seed=seed, max_complexity=8)) for seed in range(12))]
+    solves = [0]
+    minimize = LP.minimize
+
+    def counted(self, objective):
+        solves[0] += 1
+        return minimize(self, objective)
+
+    def lp_count():
+        equivalence._branching_analysis.cache_clear()
+        equivalence._strong_partition.cache_clear()
+        solves[0] = 0
+        for rel in ("strong", "rooted-branching"):
+            for e, f in pairs:
+                assert not check(rel, e, f).equivalent
+        return solves[0]
+
+    monkeypatch.setattr(LP, "minimize", counted)
+    seeded = lp_count()
+    monkeypatch.setattr(equivalence, "_refine", _refine_from_one_class)
+    assert seeded < lp_count()

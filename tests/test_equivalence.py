@@ -304,3 +304,12 @@ def test_rooted_state_witness_separates():
     assert "class" not in v.witness
     assert (v.witness["class_signature_left"]
             != v.witness["class_signature_right"])
+
+
+def test_rooted_witness_names_the_separating_action():
+    # only z tells the two apart; a is answered on both sides
+    v = check("rooted-branching", nd("a.D(0)"), nd("a.D(0) + 0 + z.D(0)"))
+    assert not v.equivalent
+    assert v.witness["action_path"] == ["z"]
+    assert check("strong", nd("a.D(0)"),
+                 nd("a.D(0) + 0 + z.D(0)")).witness["action_path"] == ["z"]

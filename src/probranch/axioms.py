@@ -29,7 +29,7 @@ from typing import Optional
 
 from .dist import den, derivatives, dirac
 from .equivalence import (
-    _RootedCheck,
+    _ROOTED_CHECK,
     _StrongCheck,
     branching_analysis,
     branching_equiv,
@@ -757,10 +757,10 @@ def _sbp2_chain(rw: _Rewriter, pos, alpha):
 # for the relation and its context: strong bisimilarity's partition, or
 # the rooted first step over the branching tables.  The prover asks
 # check.respond the very question the verdict rested on and reads the
-# match from the LP's feasible point: weights over state_targets(
+# match from the hull LP's feasible point: weights over state_targets(
 # responder, action).  The responder is a normalized chain among the
-# roots, because the transfer LP leaves states outside the partition
-# universe unconstrained.
+# roots, because the signatures of the hull LP are defined only on the
+# partition universe.
 
 
 def _strong_matching(roots: frozenset):
@@ -768,7 +768,7 @@ def _strong_matching(roots: frozenset):
 
 
 def _rooted_matching(roots: frozenset):
-    return _RootedCheck(), branching_analysis(roots).tables
+    return _ROOTED_CHECK, branching_analysis(roots).tables
 
 
 def _rooted_classes(states: frozenset):

@@ -125,6 +125,22 @@ def _cmd_fuzz(args) -> int:
     return 0 if not report["failures"] else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, so that an
+    out-of-range budget, trial count or complexity is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probranch",
@@ -143,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     prove_p = sub.add_parser("prove", help="produce a replayable proof")
     prove_p.add_argument("--left", required=True, metavar="TERM|@FILE")
     prove_p.add_argument("--right", required=True, metavar="TERM|@FILE")
-    prove_p.add_argument("--budget", type=int, default=100000)
+    prove_p.add_argument("--budget", type=_int_at_least(0),
+                         default=100000)
     prove_p.add_argument("--json", action="store_true")
     prove_p.set_defaults(func=_cmd_prove)
 
@@ -156,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     conc_p = sub.add_parser("concretize",
                             help="remove (partially) inert silent steps")
     conc_p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    conc_p.add_argument("--budget", type=int, default=100000)
+    conc_p.add_argument("--budget", type=_int_at_least(0),
+                         default=100000)
     conc_p.add_argument("--trace", action="store_true",
                         help="also print the proof trace as JSON lines")
     conc_p.set_defaults(func=_cmd_concretize)
@@ -168,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser("fuzz", help="run a property suite")
     fuzz_p.add_argument("--suite", required=True, choices=suite_names())
-    fuzz_p.add_argument("--trials", type=int, default=100)
+    fuzz_p.add_argument("--trials", type=_int_at_least(0), default=100)
     fuzz_p.add_argument("--seed", type=int, default=0)
-    fuzz_p.add_argument("--max-complexity", type=int, default=8)
+    fuzz_p.add_argument("--max-complexity", type=_int_at_least(1),
+                        default=8)
     fuzz_p.set_defaults(func=_cmd_fuzz)
 
     return parser

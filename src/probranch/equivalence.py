@@ -32,12 +32,14 @@ bisimilarity itself.
   stabilizes onto the challenge's classes.  States, terms and
   distributions all go through this one step.
 
-Each matching question is one LP, and the LP that answers it also
-returns its feasible point: `_strong_match` the weights over the
-responder's action-targets, `_Tables.transfer_feasible` the masses of
-every stage.  The prover (axioms.py) asks the same two questions and
-reads its matching weights from those points, so a proof step and the
-verdict it rests on come from the same LP.
+Each matching question is one LP.  A direct step — strong bisimilarity,
+the rooted first step and the matching preorder `sqsubseteq`, with no
+silent move before the step — is one hull LP, `_direct_step`, over the
+signatures of the responder's action-targets: class masses for strong,
+stable signatures for the other two.  The weak branching step is the
+flow LP of `_Tables.transfer_feasible`.  The prover (axioms.py) reads
+its matching weights from the feasible point of the very hull LP that
+the verdict rested on.
 
 A not-equivalent verdict of any relation carries the class masses of
 both sides under the partition that decided it, and an action that
@@ -144,9 +146,6 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 # Classification tables: inert transitions and stable signatures
 
 
-_UNSOLVED = object()  # _lp_cache miss; None is a cached infeasible answer
-
-
 class _Tables:
     """Inertness classification and stable-form machinery for a fixed
     partition over a fixed state set."""
@@ -239,55 +238,41 @@ class _Tables:
     # -- the transfer feasibility LP
 
     def transfer_feasible(self, start: Distribution, action: Action,
-                          end_sig: tuple, mid_sig: Optional[tuple] = None,
-                          full_step: bool = False) -> Optional[dict]:
-        """A feasible point of the transfer LP, or None.  The step weight
-        of transition i of state s is the point's ("y", s, i).
-
-        Does `start` answer an `action` challenge whose target stabilizes
-        onto end_sig?  With a mid_sig, the answer may first move silently
-        to a weak derivative that stabilizes onto mid_sig (the branching
-        reading); without one, the step leaves from `start` itself.
-        full_step forces a complete combined transition even for the
-        silent action (the rooted first-step reading); otherwise a silent
-        step may move any fraction, including none."""
-        key = (start, action, end_sig, mid_sig, full_step)
-        hit = self._lp_cache.get(key, _UNSOLVED)
-        if hit is not _UNSOLVED:
-            return hit
-        out = self._transfer_lp(start, action, end_sig, mid_sig, full_step)
-        self._lp_cache[key] = out
-        return out
+                          end_sig: tuple, mid_sig: tuple) -> bool:
+        """Does `start` answer an `action` challenge whose target
+        stabilizes onto end_sig, after first moving silently to a weak
+        derivative that stabilizes onto mid_sig?  A silent step may move
+        any fraction, including none; a visible one moves everything."""
+        key = (start, action, end_sig, mid_sig)
+        hit = self._lp_cache.get(key)
+        if hit is None:
+            hit = self._lp_cache[key] = self._transfer_lp(
+                start, action, end_sig, mid_sig)
+        return hit
 
     def _reach(self, mu: Distribution):
         return tuple(sorted(set().union(*(derivatives(s) for s in mu.support)),
                             key=nd_key))
 
-    def _transfer_lp(self, start, action, end_sig, mid_sig=None,
-                     full_step=False) -> Optional[dict]:
+    def _transfer_lp(self, start, action, end_sig, mid_sig) -> bool:
         states = self._reach(start)
         lp = LP()
-        taus = tau_transition_list(states) if mid_sig is not None else ()
-        nubar = add_flow_result(lp, "w", dict(start.entries), states, taus)
-
-        if mid_sig is not None:
-            omid = add_flow_result(lp, "m", {s: ("w", "m", s) for s in states},
-                                   states, self.inert_transitions(states))
-            self._require_stable_sig(lp, omid, states, mid_sig)
-
-        self._step_stage(lp, nubar, states, action, full_step=full_step)
-
+        nubar = add_flow_result(lp, "w", dict(start.entries), states,
+                                tau_transition_list(states))
+        omid = add_flow_result(lp, "m", {s: ("w", "m", s) for s in states},
+                               states, self.inert_transitions(states))
+        self._require_stable_sig(lp, omid, states, mid_sig)
+        self._step_stage(lp, nubar, states, action)
         oend = add_flow_result(lp, "e", {s: ("s", "m", s) for s in states},
                                states, self.inert_transitions(states))
         self._require_stable_sig(lp, oend, states, end_sig)
-        return lp.feasible()
+        return lp.feasible() is not None
 
-    def _step_stage(self, lp: LP, nubar: dict, states, action: Action,
-                    full_step: bool = False):
+    def _step_stage(self, lp: LP, nubar: dict, states, action: Action):
         """One action step from the stage-1 masses into the ("s", "m", s)
-        masses: a full combined step for a visible action (or when
-        forced), a partial and possibly trivial step for tau."""
-        partial = action.is_tau and not full_step
+        masses: a full combined step for a visible action, a partial and
+        possibly trivial step for tau."""
+        partial = action.is_tau
         moves = {
             s: [(i, tr.target) for i, tr in enumerate(nd_transitions(s))
                 if tr.action == action]
@@ -505,41 +490,66 @@ def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
 
 
 class _StrongCheck:
+    """Direct steps: a state answers a challenge with a full combined
+    step of its own, no silent move first, whose target has the
+    challenge's signature under `sig_of(ctx, target)`.  Strong
+    bisimilarity reads the class masses of a partition; the rooted first
+    step reads the stable signature of the final branching tables
+    (_ROOTED_CHECK).  `respond` returns the step's weights over
+    state_targets(state, action), or None."""
+
+    def __init__(self, sig_of=Partition.sig):
+        self.sig_of = sig_of
+
     def context(self, partition: Partition):
         return partition
 
-    def challenge_sig(self, partition: Partition, target: Distribution):
-        return partition.sig(target)
+    def challenge_sig(self, ctx, target: Distribution):
+        return self.sig_of(ctx, target)
 
-    def mid_of(self, partition: Partition, state: NdTerm):
+    def mid_of(self, ctx, state: NdTerm):
         return None
 
-    def respond(self, partition: Partition, state, action, end_sig, mid):
-        return _strong_match(partition, state, action, end_sig)
+    def respond(self, ctx, state, action, end_sig, mid):
+        return _direct_step(lambda mu: self.sig_of(ctx, mu), dirac(state),
+                            action, end_sig, partial=False)
 
 
-def _strong_match(partition: Partition, responder: NdTerm,
-                  action: Action, sig: tuple) -> Optional[tuple]:
-    """Weights over state_targets(responder, action) whose combined step
-    hits the signature, or None when no combined action-step does."""
-    targets = state_targets(responder, action)
-    if not targets:
-        return None
+def _direct_step(sig_of, mu: Distribution, action: Action, sig: tuple,
+                 partial: bool) -> Optional[tuple]:
+    """Weights of a combined `action`-step of mu whose result has
+    signature `sig`, or None when there is none.
+
+    Each support state splits its mass over its action-targets, and with
+    `partial` it may also keep some of it where it is.  The weights are
+    the masses sent to each target, support state by support state, in
+    state_targets order.  The result's signature is the weighted sum of
+    the targets' and the kept states' signatures, so the question is one
+    hull LP when `sig_of` is linear: class masses are, and so is the
+    stable signature on a final branching partition, where all inert
+    moves of a state lead to the same stable signature."""
     lp = LP()
-    for i, _ in enumerate(targets):
-        lp.var(("x", i))
-    lp.add_eq({("x", i): ONE for i in range(len(targets))}, ONE)
-    for k, cls in enumerate(partition.classes):
-        coeffs = {}
-        for i, g in enumerate(targets):
-            m = g.class_mass(cls)
-            if m != ZERO:
-                coeffs[("x", i)] = m
-        lp.add_eq(coeffs, sig[k])
+    columns = {}
+    rhs = list(sig)
+    for s, m in mu.entries:
+        targets = state_targets(s, action)
+        if not targets and not partial:
+            return None
+        stay = sig_of(dirac(s)) if partial else None
+        step = [lp.var(("x", s, i)) for i in range(len(targets))]
+        for x, target in zip(step, targets):
+            col = sig_of(target)
+            columns[x] = col if stay is None else tuple(
+                a - b for a, b in zip(col, stay))
+        (lp.add_le if partial else lp.add_eq)(dict.fromkeys(step, ONE), m)
+        if stay is not None:
+            rhs = [r - m * b for r, b in zip(rhs, stay)]
+    for k, want in enumerate(rhs):
+        lp.add_eq({x: col[k] for x, col in columns.items()}, want)
     point = lp.feasible()
     if point is None:
         return None
-    return tuple(point[("x", i)] for i in range(len(targets)))
+    return tuple(point[x] for x in columns)
 
 
 @lru_cache(maxsize=512)
@@ -566,23 +576,7 @@ def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
 # Rooted branching bisimilarity
 
 
-class _RootedCheck(_BranchingCheck):
-    """The rooted first step: a full combined step of the responder whose
-    target stabilizes onto the challenge target's classes.  Like
-    _StrongCheck's, `respond` returns the step's weights over
-    state_targets(state, action), or None."""
-
-    def mid_of(self, tables: _Tables, state: NdTerm):
-        return None
-
-    def respond(self, tables: _Tables, state, action, end_sig, mid):
-        point = tables.transfer_feasible(dirac(state), action, end_sig,
-                                         full_step=True)
-        if point is None:
-            return None
-        return tuple(point[("y", state, i)]
-                     for i, tr in enumerate(nd_transitions(state))
-                     if tr.action == action)
+_ROOTED_CHECK = _StrongCheck(_Tables.stab_sig)
 
 
 def rooted_partition_over(analysis: BranchingAnalysis,
@@ -599,7 +593,7 @@ def rooted_partition_over(analysis: BranchingAnalysis,
     groups = []
     for members in by_class.values():
         groups.extend(
-            _profiles(_RootedCheck(), analysis.tables, members).values())
+            _profiles(_ROOTED_CHECK, analysis.tables, members).values())
     return partition_from_classes(groups)
 
 
@@ -616,7 +610,7 @@ def rooted_branching_equiv(p, q) -> Verdict:
     if left == right:
         return Verdict(True, "rooted-branching")
     return Verdict(False, "rooted-branching", _mismatch_witness(
-        _RootedCheck(), analysis.tables, partition, left, right))
+        _ROOTED_CHECK, analysis.tables, partition, left, right))
 
 
 def check(relation: str, left, right) -> Verdict:
@@ -738,10 +732,8 @@ def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
     den(P) (or nothing); a visible step is a full combined transition."""
     target = den(p)
     analysis = branching_analysis(frozenset({state}) | frozenset(target.support))
-    tables = analysis.tables
-    for tr in nd_transitions(state):
-        ok = tables.transfer_feasible(target, tr.action,
-                                      tables.stab_sig(tr.target))
-        if not ok:
-            return False
-    return True
+    stab_sig = analysis.tables.stab_sig
+    return all(
+        _direct_step(stab_sig, target, tr.action, stab_sig(tr.target),
+                     partial=tr.action.is_tau) is not None
+        for tr in nd_transitions(state))

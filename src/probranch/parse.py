@@ -179,14 +179,18 @@ def parse_p(text: str) -> PTerm:
 
 
 def parse_term(text: str):
-    """Parse either sort; non-deterministic terms are tried first."""
+    """Parse either sort; non-deterministic terms are tried first.  When
+    neither parses, the error is that of the parse that got further, the
+    non-deterministic one on a tie."""
     try:
         return parse_nd(text)
     except ParseError as nd_err:
         try:
             return parse_p(text)
-        except ParseError:
-            raise nd_err from None
+        except ParseError as p_err:
+            further = ((p_err.line, p_err.column)
+                       > (nd_err.line, nd_err.column))
+            raise (p_err if further else nd_err) from None
 
 
 def print_nd(term: NdTerm) -> str:

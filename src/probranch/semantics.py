@@ -8,11 +8,10 @@ nu = mu + sum_t f_t * (target_t - point(source_t)).  Because every
 silent step strictly lowers structural complexity, the firing graph is
 acyclic and any balanced flow can be scheduled as an actual derivation,
 so the flow polytope is exactly the weak-derivative set.
-`add_flow_result` adds one such stage to an LP; the deciders in
-equivalence.py chain stages (weak move, partial or full step, inert
-stabilization) into one exact-rational feasibility problem per
-matching question, and `weak_reachable` asks the plain membership
-question.
+`add_flow_result` adds one such stage to an LP; the branching decider
+in equivalence.py chains stages (weak move, step, inert stabilization)
+into one exact-rational feasibility problem per weak transfer
+question, and `weak_reachable` asks the plain membership question.
 """
 
 from __future__ import annotations

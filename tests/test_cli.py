@@ -118,6 +118,20 @@ def test_prove_budget_exit_three(capsys):
     assert "resource" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fuzz", "--suite", "soundness", "--max-complexity", "0"),
+    ("fuzz", "--suite", "soundness", "--trials", "-3"),
+    ("prove", "--left", "a.D(0) + a.D(0)", "--right", "a.D(0)",
+     "--budget", "-1"),
+    ("concretize", "--term", "a.D(0)", "--budget", "-1"),
+])
+def test_out_of_range_number_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expected an integer >=" in err
+
+
 def test_deep_term_exit_three(capsys):
     deep = "a.D(" * 300 + "0" + ")" * 300
     code, _, err = run(capsys, "check", "--rel", "strong",

@@ -7,6 +7,7 @@ import random
 from probranch import equivalence
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
+    _ROOTED_CHECK,
     _BranchingCheck,
     _StrongCheck,
     _profiles,
@@ -14,12 +15,28 @@ from probranch.equivalence import (
     branching_analysis,
     check,
     partition_from_classes,
+    sqsubseteq,
+    strong_partition,
 )
 from probranch.harness import GenConfig, gen_nd, gen_p, random_equivalent_pair
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
-from probranch.semantics import nd_transitions, state_targets, weak_reachable
-from probranch.terms import TAU, ZERO_TERM, Action, Dirac, Prefix, Sum, nd_key
+from probranch.semantics import (
+    add_flow_result,
+    nd_transitions,
+    state_targets,
+    weak_reachable,
+)
+from probranch.terms import (
+    TAU,
+    ZERO_TERM,
+    Action,
+    Dirac,
+    PChoice,
+    Prefix,
+    Sum,
+    nd_key,
+)
 
 
 def _hull_contains(gens, point):
@@ -116,6 +133,45 @@ def test_stable_forms_are_weak_derivatives():
         assert weak_reachable(mu, stable)
 
 
+def _flow_direct_step(partition, inert: dict, mu, action, end_sig,
+                      partial: bool) -> bool:
+    """The flow-LP reading of a direct step, the oracle for
+    equivalence._direct_step: a full combined `action`-step of mu, or
+    with `partial` one that may leave any fraction where it is, whose
+    result stabilizes along the inert transitions (`inert` maps a state
+    to their indices) onto end_sig.  Strong passes no inert
+    transitions."""
+    states = sorted(set().union(*(derivatives(s) for s in mu.support)),
+                    key=nd_key)
+    lp = LP()
+    moves = {s: [(i, tr.target) for i, tr in enumerate(nd_transitions(s))
+                 if tr.action == action] for s in states}
+    for s in states:
+        coeffs = {lp.var(("y", s, i)): ONE for i, _ in moves[s]}
+        (lp.add_le if partial else lp.add_eq)(coeffs, mu.mass(s))
+    for s in states:
+        coeffs = {lp.var(("s", "m", s)): ONE}
+        if partial:
+            for i, _ in moves[s]:
+                coeffs[("y", s, i)] = ONE
+        for src in states:
+            for i, target in moves[src]:
+                if target.mass(s) != ZERO:
+                    coeffs[("y", src, i)] = (coeffs.get(("y", src, i), ZERO)
+                                             - target.mass(s))
+        lp.add_eq(coeffs, mu.mass(s) if partial else ZERO)
+    inert_moves = [(s, i, nd_transitions(s)[i].target)
+                   for s in states for i in inert.get(s, ())]
+    end = add_flow_result(lp, "e", {s: ("s", "m", s) for s in states},
+                          states, inert_moves)
+    for s in states:
+        if inert.get(s):
+            lp.add_eq({end[s]: ONE}, ZERO)
+    for k, cls in enumerate(partition.classes):
+        lp.add_eq({end[s]: ONE for s in states if s in cls}, end_sig[k])
+    return lp.feasible() is not None
+
+
 def _rooted_pair_ok(e, f) -> bool:
     """Rooted branching bisimilarity of two states by the pairwise
     definition: every transition of either is answered by a full
@@ -124,9 +180,9 @@ def _rooted_pair_ok(e, f) -> bool:
     tables = branching_analysis({e, f}).tables
     for challenger, responder in ((e, f), (f, e)):
         for tr in nd_transitions(challenger):
-            if tables.transfer_feasible(
-                    dirac(responder), tr.action, tables.stab_sig(tr.target),
-                    full_step=True) is None:
+            if not _flow_direct_step(
+                    tables.partition, tables.inert, dirac(responder),
+                    tr.action, tables.stab_sig(tr.target), partial=False):
                 return False
     return True
 
@@ -158,6 +214,88 @@ def test_rooted_check_matches_pairwise_oracle():
                 left, right)
             outcomes.add("within" if same else "across")
     assert outcomes == {"equivalent", "within", "across"}
+
+
+def _same_action_root_sets(count):
+    """Seeded root pairs with same-action summands whose targets differ,
+    which gen_nd rarely makes: F = E + alpha.P + alpha.Q beside
+    F + alpha.(P +[r] Q), E beside E + tau.D(E), E beside
+    E + tau.(P +[r] Q), and E + a.(P +[r] Q) beside
+    E + a.D(tau.(P +[r] Q)), whose a-target dissolves silently into a
+    mixture; alpha is a or tau.  Each comes with the probabilistic terms
+    that a summand of it leads to."""
+    rng = random.Random(53)
+    a = Action("a")
+    for k in range(count):
+        cfg = GenConfig(seed=rng.randrange(2 ** 32), max_complexity=5)
+        e = gen_nd(cfg)
+        p = gen_p(GenConfig(seed=cfg.seed + 1, max_complexity=4))
+        q = gen_p(GenConfig(seed=cfg.seed + 2, max_complexity=4))
+        mix = PChoice(p, rat(rng.randint(1, 4), 5), q)
+        alpha = (a, TAU)[k // 4 % 2]
+        shape = k % 4
+        if shape == 0:
+            f = Sum(Sum(e, Prefix(alpha, p)), Prefix(alpha, q))
+            yield (f, Sum(f, Prefix(alpha, mix))), (p, q, mix)
+        elif shape == 1:
+            yield (e, Sum(e, Prefix(TAU, Dirac(e)))), (Dirac(e),)
+        elif shape == 2:
+            yield (e, Sum(e, Prefix(TAU, mix))), (p, q, mix)
+        else:
+            silent = Dirac(Prefix(TAU, mix))
+            yield (Sum(e, Prefix(a, mix)), Sum(e, Prefix(a, silent))), (
+                mix, silent)
+
+
+def _weights_hit(sig_of, state, action, weights, sig) -> bool:
+    targets = state_targets(state, action)
+    out = [ZERO] * len(sig)
+    for w, target in zip(weights, targets):
+        out = [o + w * x for o, x in zip(out, sig_of(target))]
+    return sum(weights, ZERO) == ONE and tuple(out) == sig
+
+
+def test_direct_step_matches_flow_lp():
+    """The hull LP of a direct step agrees with the flow LP's reading on
+    the strong respond, the rooted respond and sqsubseteq, and the
+    weights it returns are a combined step with the asked signature."""
+    outcomes = set()
+    for roots, bodies in _same_action_root_sets(48):
+        partition = strong_partition(roots)
+        tables = branching_analysis(roots).tables
+        challenges = {(tr.action, tr.target)
+                      for r in roots for tr in nd_transitions(r)}
+        for responder in roots:
+            for action, target in sorted(
+                    challenges, key=lambda c: (c[0].name, repr(c[1]))):
+                for name, check_, ctx, inert in (
+                        ("strong", _StrongCheck(), partition, {}),
+                        ("rooted", _ROOTED_CHECK, tables, tables.inert)):
+                    sig = check_.challenge_sig(ctx, target)
+                    weights = check_.respond(ctx, responder, action, sig, None)
+                    assert (weights is not None) == _flow_direct_step(
+                        ctx if name == "strong" else tables.partition, inert,
+                        dirac(responder), action, sig, partial=False), (
+                            name, responder, action, target)
+                    if weights is not None:
+                        assert _weights_hit(
+                            lambda mu: check_.challenge_sig(ctx, mu),
+                            responder, action, weights, sig)
+                    outcomes.add((name, weights is not None))
+        for state in roots:
+            for body in bodies:
+                mu = den(body)
+                analysis = branching_analysis({state} | set(mu.support))
+                stab_sig = analysis.tables.stab_sig
+                oracle = all(
+                    _flow_direct_step(
+                        analysis.partition, analysis.tables.inert, mu,
+                        tr.action, stab_sig(tr.target), tr.action.is_tau)
+                    for tr in nd_transitions(state))
+                assert sqsubseteq(state, body) == oracle, (state, body)
+                outcomes.add(("sqsubseteq", oracle))
+    assert outcomes == {(name, answer) for answer in (True, False)
+                        for name in ("strong", "rooted", "sqsubseteq")}
 
 
 def test_deciders_transitive_on_sampled_triples():

@@ -99,6 +99,19 @@ def test_parse_term_either_sort():
     assert isinstance(parse_term("(D(0) +[1/2] D(0))"), PChoice)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("D(0) +[3/2] D(a.D(0))", "choice weight 3/2 outside (0,1)", (1, 13)),
+    ("(D(0) +[1/2] D(0)", "expected ')'", (1, 18)),
+    ("a.D(0) junk", "trailing input", (1, 8)),
+])
+def test_parse_term_reports_the_parse_that_got_further(text, message,
+                                                       position):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    assert str(info.value).startswith(message)
+    assert (info.value.line, info.value.column) == position
+
+
 def test_print_term_dispatch():
     assert print_term(parse_term("a.D(0)")) == "a.D(0)"
     assert print_term(parse_term("D(0) +[1/2] D(0)")) == "D(0) +[1/2] D(0)"

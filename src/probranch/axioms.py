@@ -22,7 +22,7 @@ application through the semantic checker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Optional
@@ -118,14 +118,15 @@ class RewriteStep:
     def subst(self) -> dict:
         return dict(self.substitution)
 
-    def to_json(self, index: int, before, after) -> dict:
+    def to_json(self, index: int, before: str, after: str) -> dict:
+        """The step as JSON, given the printed terms around it."""
         out = {
             "index": index,
             "rule": self.axiom.value,
             "direction": self.direction,
             "position": list(self.position),
-            "before": print_term(before),
-            "after": print_term(after),
+            "before": before,
+            "after": after,
         }
         if self.witness is not None:
             out["witness"] = self.witness
@@ -137,25 +138,31 @@ class ProofTrace:
     start: object
     steps: tuple
     end: object
+    # Every term of the last replay, start to end; not part of the value.
+    terms: Optional[tuple] = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def replay(self):
         """Re-apply every step; returns the end term, raising if any step
         fails to apply or the result disagrees."""
         term = self.start
+        terms = [term]
         for step in self.steps:
             term = apply_axiom(term, step)
+            terms.append(term)
         if term != self.end:
             raise ValueError("trace does not replay to its end term")
+        object.__setattr__(self, "terms", tuple(terms))
         return term
 
     def to_jsonl(self) -> str:
-        lines = []
-        term = self.start
-        for i, step in enumerate(self.steps):
-            after = apply_axiom(term, step)
-            lines.append(json.dumps(step.to_json(i, term, after)))
-            term = after
-        return "\n".join(lines)
+        """One JSON line per step, from the terms of a verifying replay."""
+        if self.terms is None:
+            self.replay()
+        texts = [print_term(term) for term in self.terms]
+        return "\n".join(
+            json.dumps(step.to_json(i, texts[i], texts[i + 1]))
+            for i, step in enumerate(self.steps))
 
     def rule_multiset(self) -> dict:
         out: dict = {}

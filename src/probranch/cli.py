@@ -141,62 +141,89 @@ def _int_at_least(low: int):
     return parse
 
 
+def _check_arguments(p) -> None:
+    p.add_argument("--rel", choices=RELATIONS, required=True)
+    p.add_argument("--left", required=True, metavar="TERM|@FILE")
+    p.add_argument("--right", required=True, metavar="TERM|@FILE")
+    p.add_argument("--json", action="store_true")
+
+
+def _prove_arguments(p) -> None:
+    p.add_argument("--left", required=True, metavar="TERM|@FILE")
+    p.add_argument("--right", required=True, metavar="TERM|@FILE")
+    p.add_argument("--budget", type=_int_at_least(0), default=100000)
+    p.add_argument("--json", action="store_true")
+
+
+def _normalize_arguments(p) -> None:
+    p.add_argument("--form", choices=("nd", "p", "concrete"), required=True)
+    p.add_argument("--term", required=True, metavar="TERM|@FILE")
+
+
+def _concretize_arguments(p) -> None:
+    p.add_argument("--term", required=True, metavar="TERM|@FILE")
+    p.add_argument("--budget", type=_int_at_least(0), default=100000)
+    p.add_argument("--trace", action="store_true",
+                   help="also print the proof trace as JSON lines")
+
+
+def _lts_arguments(p) -> None:
+    p.add_argument("--term", required=True, metavar="TERM|@FILE")
+    p.add_argument("--dot", action="store_true", default=True)
+
+
+def _fuzz_arguments(p) -> None:
+    p.add_argument("--suite", required=True, choices=suite_names())
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-complexity", type=_int_at_least(1), default=8)
+
+
+# Each command once: its help line, the function that adds its
+# arguments, and its handler.
+COMMANDS = {
+    "check": ("decide an equivalence", _check_arguments, _cmd_check),
+    "prove": ("produce a replayable proof", _prove_arguments, _cmd_prove),
+    "normalize": ("print a canonical form", _normalize_arguments,
+                  _cmd_normalize),
+    "concretize": ("remove (partially) inert silent steps",
+                   _concretize_arguments, _cmd_concretize),
+    "lts": ("export the transition graph", _lts_arguments, _cmd_lts),
+    "fuzz": ("run a property suite", _fuzz_arguments, _cmd_fuzz),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str):
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the top-level help and usage
+    errors."""
     parser = argparse.ArgumentParser(
         prog="probranch",
         description="Exact-arithmetic toolkit for a process calculus with "
                     "non-deterministic and probabilistic choice: semantics, "
                     "bisimilarity checking, and equational proofs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check_p = sub.add_parser("check", help="decide an equivalence")
-    check_p.add_argument("--rel", choices=RELATIONS, required=True)
-    check_p.add_argument("--left", required=True, metavar="TERM|@FILE")
-    check_p.add_argument("--right", required=True, metavar="TERM|@FILE")
-    check_p.add_argument("--json", action="store_true")
-    check_p.set_defaults(func=_cmd_check)
-
-    prove_p = sub.add_parser("prove", help="produce a replayable proof")
-    prove_p.add_argument("--left", required=True, metavar="TERM|@FILE")
-    prove_p.add_argument("--right", required=True, metavar="TERM|@FILE")
-    prove_p.add_argument("--budget", type=_int_at_least(0),
-                         default=100000)
-    prove_p.add_argument("--json", action="store_true")
-    prove_p.set_defaults(func=_cmd_prove)
-
-    norm_p = sub.add_parser("normalize", help="print a canonical form")
-    norm_p.add_argument("--form", choices=("nd", "p", "concrete"),
-                        required=True)
-    norm_p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    norm_p.set_defaults(func=_cmd_normalize)
-
-    conc_p = sub.add_parser("concretize",
-                            help="remove (partially) inert silent steps")
-    conc_p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    conc_p.add_argument("--budget", type=_int_at_least(0),
-                         default=100000)
-    conc_p.add_argument("--trace", action="store_true",
-                        help="also print the proof trace as JSON lines")
-    conc_p.set_defaults(func=_cmd_concretize)
-
-    lts_p = sub.add_parser("lts", help="export the transition graph")
-    lts_p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    lts_p.add_argument("--dot", action="store_true", default=True)
-    lts_p.set_defaults(func=_cmd_lts)
-
-    fuzz_p = sub.add_parser("fuzz", help="run a property suite")
-    fuzz_p.add_argument("--suite", required=True, choices=suite_names())
-    fuzz_p.add_argument("--trials", type=_int_at_least(0), default=100)
-    fuzz_p.add_argument("--seed", type=int, default=0)
-    fuzz_p.add_argument("--max-complexity", type=_int_at_least(1),
-                        default=8)
-    fuzz_p.set_defaults(func=_cmd_fuzz)
-
+    for name, (help_line, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A named command needs only its own parser: building all six takes
+    # about as long as a small query.
+    if argv and argv[0] in COMMANDS:
+        name, argv = argv[0], argv[1:]
+        parser = _fill(argparse.ArgumentParser(prog=f"probranch {name}"),
+                       name)
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

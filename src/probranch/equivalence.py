@@ -278,9 +278,13 @@ class _Tables:
                 if tr.action == action]
             for s in states
         }
-        for s in states:
-            for i, _ in moves[s]:
-                lp.var(("y", s, i))
+        landing = {s: [] for s in states}  # s -> [(move var, mass in s)]
+        for src in states:
+            for i, target in moves[src]:
+                move = lp.var(("y", src, i))
+                for s, m in target.entries:
+                    if s in landing:
+                        landing[s].append((move, m))
         for s in states:
             coeffs = {("y", s, i): ONE for i, _ in moves[s]}
             coeffs[nubar[s]] = coeffs.get(nubar[s], ZERO) - ONE
@@ -294,11 +298,8 @@ class _Tables:
                 coeffs[nubar[s]] = coeffs.get(nubar[s], ZERO) - ONE
                 for i, _ in moves[s]:
                     coeffs[("y", s, i)] = coeffs.get(("y", s, i), ZERO) + ONE
-            for src in states:
-                for i, target in moves[src]:
-                    m = target.mass(s)
-                    if m != ZERO:
-                        coeffs[("y", src, i)] = coeffs.get(("y", src, i), ZERO) - m
+            for move, m in landing[s]:
+                coeffs[move] = coeffs.get(move, ZERO) - m
             lp.add_eq(coeffs, ZERO)
 
     def _require_stable_sig(self, lp: LP, masses: dict, states, sig: tuple):

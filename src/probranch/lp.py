@@ -43,11 +43,8 @@ class LP:
         self._rows.append((self._materialize(coeffs), "<=", rhs))
 
     def _materialize(self, coeffs: dict) -> dict:
-        out = {}
-        for name, c in coeffs.items():
-            if c != ZERO:
-                out[self._index[name]] = out.get(self._index[name], ZERO) + c
-        return out
+        return {self._index[name]: c for name, c in coeffs.items()
+                if c != ZERO}
 
     def _standard_form(self):
         """The rows as int tuples (a_1, ..., a_n, rhs, d) meaning a_j/d with

@@ -146,10 +146,12 @@ class _Parser:
     def parse_pterm(self) -> PTerm:
         left = self.parse_patom()
         if self.accept("PLUSSQ"):
+            first = self.current
             weight = self.parse_rational()
             self.expect("RSQ", "']'")
             if not (ZERO < weight < ONE):
-                raise self.error(f"choice weight {weight} outside (0,1)")
+                raise ParseError(f"choice weight {weight} outside (0,1)",
+                                 first.line, first.column, first.text)
             right = self.parse_pterm()
             return PChoice(left, weight, right)
         return left

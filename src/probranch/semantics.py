@@ -87,12 +87,15 @@ def add_flow_result(lp: LP, tag, start: dict, states, transitions) -> dict:
     states to fixed masses (a dict), or to variable names registered in
     the LP when a previous stage feeds this one.
     """
-    result = {}
-    for st in states:
-        v = lp.var((tag, "m", st))
-        result[st] = v
-    for t in transitions:
-        lp.var((tag, "f", t[0], t[1]))
+    result = {st: lp.var((tag, "m", st)) for st in states}
+    moved = {st: {} for st in states}  # state -> {flow var: net mass in}
+    for src, idx, target in transitions:
+        flow = lp.var((tag, "f", src, idx))
+        for st, m in target.entries:
+            if st in moved:
+                moved[st][flow] = m
+        if src in moved:
+            moved[src][flow] = moved[src].get(flow, ZERO) - ONE
     for st in states:
         coeffs = {result[st]: ONE}
         rhs = ZERO
@@ -101,10 +104,9 @@ def add_flow_result(lp: LP, tag, start: dict, states, transitions) -> dict:
             coeffs[base] = -ONE
         else:
             rhs = base
-        for src, idx, target in transitions:
-            delta = target.mass(st) - (ONE if src == st else ZERO)
+        for flow, delta in moved[st].items():
             if delta != ZERO:
-                coeffs[(tag, "f", src, idx)] = -delta
+                coeffs[flow] = -delta
         lp.add_eq(coeffs, rhs)
     return result
 

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +199,36 @@ def test_roundtrip_of_printed_terms(capsys):
                          "--term", out.strip())
     assert code2 == 0
     assert out2 == out
+
+
+# Exit code, stdout and stderr of the usage paths at 80 columns.  Each
+# named command parses with its own parser, so these pin its output to
+# that of the full parser with subcommands, byte for byte.
+SNAPSHOTS = json.loads(
+    Path(__file__).with_name("cli_snapshots.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", SNAPSHOTS,
+                         ids=lambda case: " ".join(case["argv"]) or "<none>")
+def test_usage_output_snapshot(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"],
+                                          case["stderr"])
+
+
+def test_trailing_argument_usage_names_the_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "check", "--rel", "strong",
+                         "--left", "0", "--right", "0", "extra")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: probranch check [-h] --rel ")
+    assert err.endswith(
+        "\nprobranch check: error: unrecognized arguments: extra\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["probranch", "check", "--rel",
+                                      "strong", "--left", "a.D(0)",
+                                      "--right", "a.D(0)"])
+    assert main() == 0
+    assert capsys.readouterr().out == "equivalent (strong)\n"

@@ -25,6 +25,7 @@ from probranch.semantics import (
     add_flow_result,
     nd_transitions,
     state_targets,
+    tau_transition_list,
     weak_reachable,
 )
 from probranch.terms import (
@@ -487,3 +488,98 @@ def test_start_partition_solves_fewer_lps(monkeypatch):
     seeded = lp_count()
     monkeypatch.setattr(equivalence, "_refine", _refine_from_one_class)
     assert seeded < lp_count()
+
+
+def _dense_add_flow_result(lp, tag, start, states, transitions):
+    """The flow stage built densely, one mass lookup per state and
+    transition: the oracle for add_flow_result's sparse rows."""
+    result = {}
+    for st in states:
+        result[st] = lp.var((tag, "m", st))
+    for t in transitions:
+        lp.var((tag, "f", t[0], t[1]))
+    for st in states:
+        coeffs = {result[st]: ONE}
+        rhs = ZERO
+        base = start.get(st, ZERO)
+        if isinstance(base, tuple):
+            coeffs[base] = -ONE
+        else:
+            rhs = base
+        for src, idx, target in transitions:
+            delta = target.mass(st) - (ONE if src == st else ZERO)
+            if delta != ZERO:
+                coeffs[(tag, "f", src, idx)] = -delta
+        lp.add_eq(coeffs, rhs)
+    return result
+
+
+def _dense_step_stage(lp, nubar, states, action):
+    """The action step built densely: the oracle for _Tables._step_stage."""
+    partial = action.is_tau
+    moves = {s: [(i, tr.target) for i, tr in enumerate(nd_transitions(s))
+                 if tr.action == action] for s in states}
+    for s in states:
+        for i, _ in moves[s]:
+            lp.var(("y", s, i))
+    for s in states:
+        coeffs = {("y", s, i): ONE for i, _ in moves[s]}
+        coeffs[nubar[s]] = coeffs.get(nubar[s], ZERO) - ONE
+        (lp.add_le if partial else lp.add_eq)(coeffs, ZERO)
+    for s in states:
+        coeffs = {lp.var(("s", "m", s)): ONE}
+        if partial:
+            coeffs[nubar[s]] = coeffs.get(nubar[s], ZERO) - ONE
+            for i, _ in moves[s]:
+                coeffs[("y", s, i)] = coeffs.get(("y", s, i), ZERO) + ONE
+        for src in states:
+            for i, target in moves[src]:
+                m = target.mass(s)
+                if m != ZERO:
+                    coeffs[("y", src, i)] = coeffs.get(("y", src, i),
+                                                       ZERO) - m
+        lp.add_eq(coeffs, ZERO)
+
+
+def _chained_lp(flow, step, mu, states, action):
+    """Weak move, action step and a weak move after it, as the transfer
+    LP chains them, but over every silent transition."""
+    lp = LP()
+    silent = tau_transition_list(states)
+    nubar = flow(lp, "w", dict(mu.entries), states, silent)
+    step(lp, nubar, states, action)
+    flow(lp, "e", {s: ("s", "m", s) for s in states}, states, silent)
+    return lp
+
+
+def _strict(lp):
+    return lp._names, [(list(c.items()), rel, rhs) for c, rel, rhs in lp._rows]
+
+
+def test_sparse_flow_and_step_rows_match_dense():
+    """The sparse builders register the same variables and emit the same
+    rows, coefficient for coefficient and in the same order, as the
+    dense ones, on seeded states with same-action summands (E beside
+    E + tau.D(E), E + a.(P +[r] Q), ...) and tau-heavy sets; also when
+    the state set leaves out targets of its transitions."""
+    def step(lp, nubar, states, action):
+        equivalence._Tables._step_stage(None, lp, nubar, states, action)
+
+    root_sets = [frozenset(roots) for roots, _ in _same_action_root_sets(24)]
+    root_sets += list(_tau_heavy_root_sets(24))
+    for roots in root_sets:
+        states = sorted(frozenset().union(*(derivatives(r) for r in roots)),
+                        key=nd_key)
+        mu = distribution({r: rat(1, len(roots)) for r in roots})
+        for subset in (states, states[len(states) // 2:]):
+            silent = tau_transition_list(subset)
+            start = {s: m for s, m in mu.entries if s in subset}
+            sparse, dense = LP(), LP()
+            add_flow_result(sparse, "w", start, subset, silent)
+            _dense_add_flow_result(dense, "w", start, subset, silent)
+            assert _strict(sparse) == _strict(dense), roots
+        for action in (TAU, Action("a"), Action("b")):
+            assert _strict(_chained_lp(add_flow_result, step, mu, states,
+                                       action)) == _strict(
+                _chained_lp(_dense_add_flow_result, _dense_step_stage, mu,
+                            states, action)), (roots, action)

@@ -100,9 +100,11 @@ def test_parse_term_either_sort():
 
 
 @pytest.mark.parametrize("text, message, position", [
-    ("D(0) +[3/2] D(a.D(0))", "choice weight 3/2 outside (0,1)", (1, 13)),
+    ("D(0) +[3/2] D(a.D(0))", "choice weight 3/2 outside (0,1)", (1, 8)),
     ("(D(0) +[1/2] D(0)", "expected ')'", (1, 18)),
     ("a.D(0) junk", "trailing input", (1, 8)),
+    ("(D(0) +[ 1/1 ] D(0)) +[1/2] D(0)", "choice weight 1 outside (0,1)",
+     (1, 10)),
 ])
 def test_parse_term_reports_the_parse_that_got_further(text, message,
                                                        position):

@@ -111,10 +111,6 @@ class RewriteStep:
     substitution: tuple  # sorted ((name, value), ...)
     witness: Optional[dict] = None
 
-    @property
-    def side_condition_witness(self):
-        return self.witness
-
     def subst(self) -> dict:
         return dict(self.substitution)
 
@@ -411,10 +407,6 @@ def invert_steps(steps):
 # -- non-deterministic chains (left-nested sums)
 
 
-def _chain_items(term) -> list:
-    return summands(term)
-
-
 def _left_assoc(rw: _Rewriter, pos):
     """Reassociate the sum at pos into left-nested form."""
     while True:
@@ -498,7 +490,7 @@ def _bubble_sort(swap, items_of, key, rw: _Rewriter, base):
 def _chain_dedupe(rw: _Rewriter, base):
     """Merge adjacent equal elements (A3) of a sorted chain."""
     while True:
-        items = _chain_items(rw.at(base))
+        items = summands(rw.at(base))
         n = len(items)
         hit = next((i for i in range(n - 1) if items[i] == items[i + 1]), None)
         if hit is None:
@@ -516,7 +508,7 @@ def _chain_dedupe(rw: _Rewriter, base):
 
 def _chain_drop_zeros(rw: _Rewriter, base):
     """Remove 0 summands from a sorted deduplicated chain (0 sorts first)."""
-    items = _chain_items(rw.at(base))
+    items = summands(rw.at(base))
     n = len(items)
     if n >= 2 and isinstance(items[0], Zero):
         node_pos = _chain_node_pos(base, n, 1)
@@ -624,13 +616,13 @@ def _normalize_nd_at(rw: _Rewriter, pos):
         _normalize_p_at(rw, list(pos) + [0])
         return
     _left_assoc(rw, pos)
-    n = len(_chain_items(rw.at(pos)))
+    n = len(summands(rw.at(pos)))
     for j in range(n):
         elem_pos = _chain_elem_pos(pos, n, j)
         elem = rw.at(elem_pos)
         if isinstance(elem, Prefix):
             _normalize_p_at(rw, elem_pos + [0])
-    _bubble_sort(_chain_swap, _chain_items, nd_key, rw, pos)
+    _bubble_sort(_chain_swap, summands, nd_key, rw, pos)
     _chain_dedupe(rw, pos)
     _chain_drop_zeros(rw, pos)
 
@@ -775,7 +767,7 @@ def _strong_matching(roots: frozenset):
 
 
 def _rooted_matching(roots: frozenset):
-    return _ROOTED_CHECK, branching_analysis(roots).tables
+    return _ROOTED_CHECK, branching_analysis(roots)
 
 
 def _rooted_classes(states: frozenset):
@@ -803,7 +795,7 @@ class _ChainEditor:
         self.rw = rw
 
     def items(self):
-        return _chain_items(self.rw.term)
+        return summands(self.rw.term)
 
     def move(self, src: int, dst: int):
         _move(_chain_swap, self.rw, [], len(self.items()), src, dst)
@@ -1032,7 +1024,7 @@ class _Prover:
     def _concretize_continuations(self, rw: _Rewriter, base) -> None:
         """Concretize every prefix body of the state chain at base."""
         _left_assoc(rw, base)
-        items = _chain_items(rw.at(base))
+        items = summands(rw.at(base))
         n = len(items)
         for j, s in enumerate(items):
             if not isinstance(s, Prefix):
@@ -1060,8 +1052,8 @@ class _Prover:
         return None
 
     def _find_partially_inert(self, items, state):
-        analysis = branching_analysis(derivatives(Dirac(state)))
-        cls = analysis.partition.class_of(state)
+        partition = branching_analysis(derivatives(Dirac(state))).partition
+        cls = partition.class_of(state)
         for j, s in enumerate(items):
             if not (isinstance(s, Prefix) and s.action.is_tau):
                 continue
@@ -1080,7 +1072,7 @@ class _Prover:
             _left_assoc(rw, base)
             self._concretize_continuations(rw, base)
             state = rw.at(base)
-            items = _chain_items(state)
+            items = summands(state)
             j = self._find_inert_summand(items, state)
             if j is not None:
                 w = rw.at([0]).weight
@@ -1144,7 +1136,7 @@ class _Prover:
             return
         self._concretize_continuations(rw, base)
         state = rw.at(base)
-        items = _chain_items(state)
+        items = summands(state)
         j = self._find_inert_summand(items, state)
         if j is not None:
             body = items[j].body
@@ -1197,19 +1189,20 @@ class _Prover:
             state = rw.at(base)
             if isinstance(state, Zero):
                 break
-            items = _chain_items(state)
+            items = summands(state)
             n = len(items)
             for j, s in enumerate(items):
                 sub_steps, _ = self.conc_nd(s.action, s.body.body)
                 if sub_steps:
                     rw.splice(_chain_elem_pos(base, n, j), sub_steps)
             state = rw.at(base)
-            items = _chain_items(state)
-            analysis = branching_analysis(derivatives(Dirac(state)))
+            items = summands(state)
+            partition = branching_analysis(
+                derivatives(Dirac(state))).partition
             inert_j = None
             for j, s in enumerate(items):
-                if s.action.is_tau and analysis.state_equivalent(
-                        s.body.body, state):
+                if s.action.is_tau and partition.index_of(
+                        s.body.body) == partition.index_of(state):
                     inert_j = j
                     break
             if inert_j is None:

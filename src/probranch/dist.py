@@ -176,10 +176,6 @@ def weight(mu: Distribution):
     return sum((m * complexity(t) for t, m in mu.entries), ZERO)
 
 
-def class_mass(mu: Distribution, terms: Iterable[NdTerm]):
-    return mu.class_mass(terms)
-
-
 @lru_cache(maxsize=None)
 def den(p: PTerm) -> Distribution:
     """The unique distribution a probabilistic term maps to."""

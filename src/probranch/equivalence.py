@@ -16,14 +16,16 @@ bisimilarity itself.
 
 * branching — silent transitions are classified inert or not, bottom-up
   by structural complexity (silent steps strictly lower complexity, so
-  the classification is well-founded).  Firing inert transitions to
-  exhaustion canonicalizes any distribution to a stable form; two
-  distributions are related iff their stable forms have equal class
-  masses.  The transfer check for a state pair then asks, per challenge,
-  for a weak derivative of the responder that stabilizes onto the
-  challenger's class, followed by a (possibly partial) step whose result
-  stabilizes onto the challenge target's classes.  All of this is one
-  linear feasibility problem over firing masses.
+  the classification is well-founded).  A stable state's signature is
+  its own class; an unstable state's is that of the target of its first
+  inert transition.  A distribution's stable signature, its class masses
+  once its inert moves have fired, is the weighted sum of its states'
+  signatures; two distributions are related iff these are equal.  The
+  transfer check for a state pair asks, per challenge, for a weak
+  derivative of the responder that stabilizes onto the challenger's
+  class, followed by a (possibly partial) step whose result stabilizes
+  onto the challenge target's classes: one linear feasibility problem
+  over firing masses.
 
 * rooted-branching — strong first step, branching continuations.
   Rooted refines branching, so each branching class is split once more
@@ -51,7 +53,7 @@ more, profiled by the relation's own check.
 The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
 additionally identifies a point distribution with the mixture it
-silently dissolves into, which the stable-form signature captures.
+silently dissolves into, which the stable signature captures.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .dist import Distribution, den, derivatives, dirac, distribution
+from .dist import Distribution, den, derivatives, dirac
 from .lp import LP
 from .parse import print_nd
 from .rat import ONE, ZERO, format_rat
@@ -91,17 +93,18 @@ class Partition:
     universe: frozenset
     classes: tuple  # tuple[frozenset, ...] canonically ordered
 
+    def __post_init__(self):
+        index = {s: k for k, cls in enumerate(self.classes) for s in cls}
+        object.__setattr__(self, "_index", index)
+
     def class_of(self, state: NdTerm) -> frozenset:
-        for cls in self.classes:
-            if state in cls:
-                return cls
-        raise KeyError(f"state not in partition universe: {state!r}")
+        return self.classes[self.index_of(state)]
 
     def index_of(self, state: NdTerm) -> int:
-        for k, cls in enumerate(self.classes):
-            if state in cls:
-                return k
-        raise KeyError(f"state not in partition universe: {state!r}")
+        k = self._index.get(state)
+        if k is None:
+            raise KeyError(f"state not in partition universe: {state!r}")
+        return k
 
     def sig(self, mu: Distribution) -> tuple:
         out = [ZERO] * len(self.classes)
@@ -147,52 +150,31 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 
 
 class _Tables:
-    """Inertness classification and stable-form machinery for a fixed
-    partition over a fixed state set."""
+    """Inertness classification and stable signatures for a fixed
+    partition over its universe."""
 
-    def __init__(self, states, partition: Partition):
-        self.states = tuple(sorted(states, key=lambda s: (complexity(s), nd_key(s))))
+    def __init__(self, partition: Partition):
         self.partition = partition
         self.inert: dict = {}
         self.unstable: set = set()
         self.stabsig_state: dict = {}
-        self._stable_cache: dict = {}
+        self._sig_cache: dict = {}
         self._lp_cache: dict = {}
         self._classify()
 
-    # -- plain signatures
-
-    def sig_of(self, mu: Distribution) -> tuple:
-        return self.partition.sig(mu)
-
-    def unit_sig(self, state: NdTerm) -> tuple:
-        out = [ZERO] * len(self.partition.classes)
-        out[self.partition.index_of(state)] = ONE
-        return tuple(out)
-
-    # -- stable forms: fire inert transitions to exhaustion
-
-    def stable_form(self, mu: Distribution) -> Distribution:
-        cached = self._stable_cache.get(mu)
-        if cached is not None:
-            return cached
-        work = {t: m for t, m in mu.entries}
-        while True:
-            movers = [s for s in work if s in self.unstable]
-            if not movers:
-                break
-            state = min(movers, key=nd_key)
-            idx = self.inert[state][0]
-            target = nd_transitions(state)[idx].target
-            mass = work.pop(state)
-            for t, q in target.entries:
-                work[t] = work.get(t, ZERO) + mass * q
-        out = distribution(work)
-        self._stable_cache[mu] = out
-        return out
-
     def stab_sig(self, mu: Distribution) -> tuple:
-        return self.sig_of(self.stable_form(mu))
+        """The class masses of mu once its inert moves have fired.  Each
+        unstable state fires its first inert transition, so the result
+        is linear in mu: the mu-weighted sum of the states' rows."""
+        sig = self._sig_cache.get(mu)
+        if sig is None:
+            out = [ZERO] * len(self.partition.classes)
+            for t, m in mu.entries:
+                for k, x in enumerate(self.stabsig_state[t]):
+                    if x:
+                        out[k] += m * x
+            sig = self._sig_cache[mu] = tuple(out)
+        return sig
 
     def inert_transitions(self, states) -> tuple:
         out = []
@@ -204,19 +186,19 @@ class _Tables:
     # -- inertness classification, bottom-up in complexity
 
     def _classify(self):
-        for state in self.states:
+        for state in sorted(self.partition.universe,
+                            key=lambda s: (complexity(s), nd_key(s))):
             trs = nd_transitions(state)
-            inert_idxs = []
-            for idx, tr in enumerate(trs):
-                if tr.action.is_tau and self._is_inert(state, tr.target, trs):
-                    inert_idxs.append(idx)
-            self.inert[state] = tuple(inert_idxs)
+            inert_idxs = tuple(
+                idx for idx, tr in enumerate(trs)
+                if tr.action.is_tau and self._is_inert(state, tr.target, trs))
+            self.inert[state] = inert_idxs
             if inert_idxs:
                 self.unstable.add(state)
-                first = nd_transitions(state)[inert_idxs[0]].target
-                self.stabsig_state[state] = self.stab_sig(first)
+                self.stabsig_state[state] = self.stab_sig(
+                    trs[inert_idxs[0]].target)
             else:
-                self.stabsig_state[state] = self.unit_sig(state)
+                self.stabsig_state[state] = self.partition.sig(dirac(state))
 
     def _is_inert(self, state, rho, challenges) -> bool:
         """Is the silent move from `state` to `rho` equivalence-preserving?
@@ -312,21 +294,6 @@ class _Tables:
 
 # ---------------------------------------------------------------------------
 # Branching analysis: refinement to the coarsest self-consistent partition
-
-
-@dataclass
-class BranchingAnalysis:
-    partition: Partition
-    tables: _Tables
-
-    def stab_sig(self, mu: Distribution) -> tuple:
-        return self.tables.stab_sig(mu)
-
-    def stable_form(self, mu: Distribution) -> Distribution:
-        return self.tables.stable_form(mu)
-
-    def state_equivalent(self, e: NdTerm, f: NdTerm) -> bool:
-        return self.partition.class_of(e) is self.partition.class_of(f)
 
 
 def _sig_sort_key(sig):
@@ -425,7 +392,7 @@ def _refine(check, roots: frozenset):
 
 class _BranchingCheck:
     def context(self, partition: Partition) -> _Tables:
-        return _Tables(partition.universe, partition)
+        return _Tables(partition)
 
     def challenge_sig(self, tables: _Tables, target: Distribution):
         return tables.stab_sig(target)
@@ -438,11 +405,13 @@ class _BranchingCheck:
 
 
 @lru_cache(maxsize=512)
-def _branching_analysis(roots: frozenset) -> BranchingAnalysis:
-    return BranchingAnalysis(*_refine(_BranchingCheck(), roots))
+def _branching_analysis(roots: frozenset) -> _Tables:
+    return _refine(_BranchingCheck(), roots)[1]
 
 
-def branching_analysis(roots: Iterable[NdTerm]) -> BranchingAnalysis:
+def branching_analysis(roots: Iterable[NdTerm]) -> _Tables:
+    """The tables of the final branching partition (`.partition`) of
+    the roots' derivatives."""
     return _branching_analysis(frozenset(roots))
 
 
@@ -476,14 +445,14 @@ def _mismatch_witness(check, ctx, partition: Partition, left_sig,
 
 def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     """Branching probabilistic bisimilarity of two distributions: equal
-    class masses of their stable forms."""
-    analysis = branching_analysis(_support_roots(mu, nu))
-    left = analysis.stab_sig(mu)
-    right = analysis.stab_sig(nu)
+    stable signatures."""
+    tables = branching_analysis(_support_roots(mu, nu))
+    left = tables.stab_sig(mu)
+    right = tables.stab_sig(nu)
     if left == right:
         return Verdict(True, "branching")
     return Verdict(False, "branching", _mismatch_witness(
-        _BranchingCheck(), analysis.tables, analysis.partition, left, right))
+        _BranchingCheck(), tables, tables.partition, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -493,30 +462,30 @@ def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
 class _StrongCheck:
     """Direct steps: a state answers a challenge with a full combined
     step of its own, no silent move first, whose target has the
-    challenge's signature under `sig_of(ctx, target)`.  Strong
+    challenge's signature under `signature(ctx, target)`.  Strong
     bisimilarity reads the class masses of a partition; the rooted first
     step reads the stable signature of the final branching tables
     (_ROOTED_CHECK).  `respond` returns the step's weights over
     state_targets(state, action), or None."""
 
-    def __init__(self, sig_of=Partition.sig):
-        self.sig_of = sig_of
+    def __init__(self, signature=Partition.sig):
+        self.signature = signature
 
     def context(self, partition: Partition):
         return partition
 
     def challenge_sig(self, ctx, target: Distribution):
-        return self.sig_of(ctx, target)
+        return self.signature(ctx, target)
 
     def mid_of(self, ctx, state: NdTerm):
         return None
 
     def respond(self, ctx, state, action, end_sig, mid):
-        return _direct_step(lambda mu: self.sig_of(ctx, mu), dirac(state),
+        return _direct_step(lambda mu: self.signature(ctx, mu), dirac(state),
                             action, end_sig, partial=False)
 
 
-def _direct_step(sig_of, mu: Distribution, action: Action, sig: tuple,
+def _direct_step(signature, mu: Distribution, action: Action, sig: tuple,
                  partial: bool) -> Optional[tuple]:
     """Weights of a combined `action`-step of mu whose result has
     signature `sig`, or None when there is none.
@@ -526,7 +495,7 @@ def _direct_step(sig_of, mu: Distribution, action: Action, sig: tuple,
     the masses sent to each target, support state by support state, in
     state_targets order.  The result's signature is the weighted sum of
     the targets' and the kept states' signatures, so the question is one
-    hull LP when `sig_of` is linear: class masses are, and so is the
+    hull LP when `signature` is linear: class masses are, and so is the
     stable signature on a final branching partition, where all inert
     moves of a state lead to the same stable signature."""
     lp = LP()
@@ -536,10 +505,10 @@ def _direct_step(sig_of, mu: Distribution, action: Action, sig: tuple,
         targets = state_targets(s, action)
         if not targets and not partial:
             return None
-        stay = sig_of(dirac(s)) if partial else None
+        stay = signature(dirac(s)) if partial else None
         step = [lp.var(("x", s, i)) for i in range(len(targets))]
         for x, target in zip(step, targets):
-            col = sig_of(target)
+            col = signature(target)
             columns[x] = col if stay is None else tuple(
                 a - b for a, b in zip(col, stay))
         (lp.add_le if partial else lp.add_eq)(dict.fromkeys(step, ONE), m)
@@ -580,7 +549,7 @@ def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
 _ROOTED_CHECK = _StrongCheck(_Tables.stab_sig)
 
 
-def rooted_partition_over(analysis: BranchingAnalysis,
+def rooted_partition_over(tables: _Tables,
                           states: Iterable[NdTerm]) -> Partition:
     """Rooted-branching state classes restricted to the given states.
 
@@ -590,11 +559,10 @@ def rooted_partition_over(analysis: BranchingAnalysis,
     """
     by_class: dict = {}
     for s in sorted(set(states), key=nd_key):
-        by_class.setdefault(analysis.partition.class_of(s), []).append(s)
+        by_class.setdefault(tables.partition.class_of(s), []).append(s)
     groups = []
     for members in by_class.values():
-        groups.extend(
-            _profiles(_ROOTED_CHECK, analysis.tables, members).values())
+        groups.extend(_profiles(_ROOTED_CHECK, tables, members).values())
     return partition_from_classes(groups)
 
 
@@ -604,14 +572,14 @@ def rooted_branching_equiv(p, q) -> Verdict:
     rooted-branching state class."""
     mu = den(p) if isinstance(p, PTerm) else p
     nu = den(q) if isinstance(q, PTerm) else q
-    analysis = branching_analysis(_support_roots(mu, nu))
+    tables = branching_analysis(_support_roots(mu, nu))
     states = frozenset(mu.support) | frozenset(nu.support)
-    partition = rooted_partition_over(analysis, states)
+    partition = rooted_partition_over(tables, states)
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "rooted-branching")
     return Verdict(False, "rooted-branching", _mismatch_witness(
-        _ROOTED_CHECK, analysis.tables, partition, left, right))
+        _ROOTED_CHECK, tables, partition, left, right))
 
 
 def check(relation: str, left, right) -> Verdict:
@@ -643,10 +611,9 @@ def _tables_for(partition: Partition, extra_states: Iterable[NdTerm]) -> _Tables
     states = set(partition.universe)
     for s in extra_states:
         states |= derivatives(s)
-    covered = set(partition.universe)
     classes = list(partition.classes)
-    classes.extend(frozenset({s}) for s in sorted(states - covered, key=nd_key))
-    return _Tables(states, partition_from_classes(classes))
+    classes.extend(frozenset({s}) for s in states - partition.universe)
+    return _Tables(partition_from_classes(classes))
 
 
 def inertness(state: NdTerm, transition: StateTransition,
@@ -700,8 +667,7 @@ def _max_equivalent_fraction(tables: _Tables, mu: Distribution,
 
 def is_rigid(state: NdTerm) -> bool:
     """No fully inert silent transition."""
-    analysis = branching_analysis(frozenset({state}))
-    tables = analysis.tables
+    tables = branching_analysis(frozenset({state}))
     src = tables.stabsig_state[state]
     for tr in nd_transitions(state):
         if tr.action.is_tau and tables.stab_sig(tr.target) == src:
@@ -712,8 +678,7 @@ def is_rigid(state: NdTerm) -> bool:
 def is_concrete(p) -> bool:
     """No derivative can perform an even partially inert silent transition."""
     roots = derivatives(p if isinstance(p, PTerm) else Dirac(p))
-    analysis = branching_analysis(roots)
-    tables = analysis.tables
+    tables = branching_analysis(roots)
     for state in roots:
         for tr in nd_transitions(state):
             if not tr.action.is_tau:
@@ -732,8 +697,8 @@ def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
     mu and nu branching bisimilar.  The silent case may move only part of
     den(P) (or nothing); a visible step is a full combined transition."""
     target = den(p)
-    analysis = branching_analysis(frozenset({state}) | frozenset(target.support))
-    stab_sig = analysis.tables.stab_sig
+    tables = branching_analysis(frozenset({state}) | frozenset(target.support))
+    stab_sig = tables.stab_sig
     return all(
         _direct_step(stab_sig, target, tr.action, stab_sig(tr.target),
                      partial=tr.action.is_tau) is not None

@@ -161,7 +161,8 @@ class _Parser:
         self.expect("SLASH", "'/'")
         den = self.expect("INT", "a positive denominator")
         if int(den.text) == 0:
-            raise self.error("zero denominator")
+            raise ParseError("zero denominator", den.line, den.column,
+                             den.text)
         return rat(int(num.text), int(den.text))
 
     def finish(self, term):

@@ -103,16 +103,37 @@ def test_weak_closure_generators_match_flow():
             assert _hull_contains(gens, cand) == weak_reachable(mu, cand)
 
 
+def stable_form(tables, mu):
+    """Fire inert transitions to exhaustion, each time the first inert
+    transition of the smallest unstable state that holds mass: the
+    oracle for the linear stable signature _Tables.stab_sig."""
+    work = dict(mu.entries)
+    while True:
+        movers = [s for s in work if s in tables.unstable]
+        if not movers:
+            return distribution(work)
+        state = min(movers, key=nd_key)
+        target = nd_transitions(state)[tables.inert[state][0]].target
+        mass = work.pop(state)
+        for t, q in target.entries:
+            work[t] = work.get(t, ZERO) + mass * q
+
+
 def test_branching_fixpoint_consistency():
     """At the decider's fixpoint: every inert transition's target
     stabilizes onto its source's stable signature, all inert transitions
     of one state agree on that signature, and stable forms are
-    fixpoints."""
+    fixpoints.  The linear stable signature equals the class masses of
+    the oracle's stable form on the generated distributions, the point
+    masses and every transition target."""
+    mixtures = 0
     for seed in range(60):
         p = gen_p(GenConfig(seed=seed, max_complexity=7))
-        analysis = branching_analysis(derivatives(p))
-        tables = analysis.tables
-        for state in tables.states:
+        tables = branching_analysis(derivatives(p))
+        mu = den(p)
+        mixtures += len(mu.support) > 1
+        dists = {mu}
+        for state in sorted(tables.partition.universe, key=nd_key):
             sigs = set()
             for idx in tables.inert[state]:
                 target = nd_transitions(state)[idx].target
@@ -120,18 +141,23 @@ def test_branching_fixpoint_consistency():
             if sigs:
                 assert len(sigs) == 1, state
                 assert sigs.pop() == tables.stabsig_state[state], state
-            stable = tables.stable_form(dirac(state))
-            assert tables.stable_form(stable) == stable
-            assert tables.sig_of(stable) == tables.stabsig_state[state]
+            stable = stable_form(tables, dirac(state))
+            assert stable_form(tables, stable) == stable
+            assert (tables.partition.sig(stable)
+                    == tables.stabsig_state[state])
+            dists.update(tr.target for tr in nd_transitions(state))
+        for nu in dists:
+            assert tables.stab_sig(nu) == tables.partition.sig(
+                stable_form(tables, nu)), (seed, nu)
+    assert mixtures > 0
 
 
 def test_stable_forms_are_weak_derivatives():
     """The canonical stable form is itself reachable by silent moves."""
     for seed in range(40):
         mu = den(gen_p(GenConfig(seed=seed, max_complexity=6)))
-        analysis = branching_analysis(frozenset(mu.support))
-        stable = analysis.stable_form(mu)
-        assert weak_reachable(mu, stable)
+        tables = branching_analysis(frozenset(mu.support))
+        assert weak_reachable(mu, stable_form(tables, mu))
 
 
 def _flow_direct_step(partition, inert: dict, mu, action, end_sig,
@@ -178,7 +204,7 @@ def _rooted_pair_ok(e, f) -> bool:
     definition: every transition of either is answered by a full
     combined step of the other whose target stabilizes onto the same
     branching classes."""
-    tables = branching_analysis({e, f}).tables
+    tables = branching_analysis({e, f})
     for challenger, responder in ((e, f), (f, e)):
         for tr in nd_transitions(challenger):
             if not _flow_direct_step(
@@ -211,8 +237,8 @@ def test_rooted_check_matches_pairwise_oracle():
             witness = verdict.witness
             assert (witness["class_signature_left"]
                     != witness["class_signature_right"])
-            same = branching_analysis({left, right}).state_equivalent(
-                left, right)
+            partition = branching_analysis({left, right}).partition
+            same = partition.index_of(left) == partition.index_of(right)
             outcomes.add("within" if same else "across")
     assert outcomes == {"equivalent", "within", "across"}
 
@@ -263,7 +289,7 @@ def test_direct_step_matches_flow_lp():
     outcomes = set()
     for roots, bodies in _same_action_root_sets(48):
         partition = strong_partition(roots)
-        tables = branching_analysis(roots).tables
+        tables = branching_analysis(roots)
         challenges = {(tr.action, tr.target)
                       for r in roots for tr in nd_transitions(r)}
         for responder in roots:
@@ -286,11 +312,11 @@ def test_direct_step_matches_flow_lp():
         for state in roots:
             for body in bodies:
                 mu = den(body)
-                analysis = branching_analysis({state} | set(mu.support))
-                stab_sig = analysis.tables.stab_sig
+                mu_tables = branching_analysis({state} | set(mu.support))
+                stab_sig = mu_tables.stab_sig
                 oracle = all(
                     _flow_direct_step(
-                        analysis.partition, analysis.tables.inert, mu,
+                        mu_tables.partition, mu_tables.inert, mu,
                         tr.action, stab_sig(tr.target), tr.action.is_tau)
                     for tr in nd_transitions(state))
                 assert sqsubseteq(state, body) == oracle, (state, body)
@@ -330,8 +356,8 @@ def test_double_inert_state():
 
     e = parse_nd("tau.D(a.D(0)) + tau.D(tau.D(a.D(0)))")
     assert check("branching", e, parse_nd("a.D(0)")).equivalent
-    analysis = branching_analysis(derivatives(dirac(e).support[0]))
-    assert len(analysis.tables.inert[e]) == 2
+    tables = branching_analysis(derivatives(dirac(e).support[0]))
+    assert len(tables.inert[e]) == 2
 
 
 def test_combined_only_equivalence_proved_with_c():
@@ -454,10 +480,10 @@ def test_start_partition_gives_the_one_class_fixpoint():
         strong, _ = _refine_from_one_class(_StrongCheck(), roots)
         assert equivalence.strong_partition(roots) == strong, roots
         partition, tables = _refine_from_one_class(_BranchingCheck(), roots)
-        analysis = branching_analysis(roots)
-        assert analysis.partition == partition, roots
-        assert analysis.tables.inert == tables.inert, roots
-        assert analysis.tables.stabsig_state == tables.stabsig_state, roots
+        final = branching_analysis(roots)
+        assert final.partition == partition, roots
+        assert final.inert == tables.inert, roots
+        assert final.stabsig_state == tables.stabsig_state, roots
         for cls in strong.classes + partition.classes:
             assert len({start.index_of(s) for s in cls}) == 1, (roots, cls)
 

@@ -4,7 +4,6 @@ from probranch.dist import (
     Decomposition,
     MismatchError,
     WeightSumError,
-    class_mass,
     convex_sum,
     decomposition,
     den,
@@ -135,9 +134,9 @@ def test_weight_examples():
 def test_class_mass():
     e, f = nd("a.D(0)"), nd("b.D(0)")
     mu = mix(dirac(e), rat(1, 3), dirac(f))
-    assert class_mass(mu, set()) == ZERO
-    assert class_mass(mu, set(mu.support)) == ONE
-    assert class_mass(mu, {f}) == rat(2, 3)
+    assert mu.class_mass(set()) == ZERO
+    assert mu.class_mass(set(mu.support)) == ONE
+    assert mu.class_mass({f}) == rat(2, 3)
 
 
 def test_derivatives():

@@ -68,6 +68,18 @@ def test_strong_distinguishes_dirac_from_mixture():
     assert verdict.witness is not None
 
 
+def test_partition_lookups_reject_a_state_outside_the_universe():
+    partition = strong_partition([nd("a.D(0)")])
+    outside = nd("b.D(0)")
+    for lookup in (partition.index_of, partition.class_of):
+        with pytest.raises(KeyError) as info:
+            lookup(outside)
+        assert info.value.args == (
+            f"state not in partition universe: {outside!r}",)
+    with pytest.raises(KeyError):
+        partition.sig(dirac(outside))
+
+
 def test_strong_choice_idempotence_semantics():
     p = pt("D(a.D(0)) +[1/2] D(a.D(0))")
     assert strong_equiv(den(p), den(pt("D(a.D(0))"))).equivalent

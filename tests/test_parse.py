@@ -105,6 +105,7 @@ def test_parse_term_either_sort():
     ("a.D(0) junk", "trailing input", (1, 8)),
     ("(D(0) +[ 1/1 ] D(0)) +[1/2] D(0)", "choice weight 1 outside (0,1)",
      (1, 10)),
+    ("D(0) +[1/0] D(0)", "zero denominator", (1, 10)),
 ])
 def test_parse_term_reports_the_parse_that_got_further(text, message,
                                                        position):

@@ -24,15 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import Optional
 
-from .dist import den, derivatives, dirac
+from .dist import den
 from .equivalence import (
     _ROOTED_CHECK,
     _StrongCheck,
     branching_analysis,
-    branching_equiv,
     check as relation_check,
     rooted_partition_over,
     sqsubseteq,
@@ -560,6 +559,11 @@ def _spine_node_pos(base, i: int) -> list:
     return list(base) + [1] * i
 
 
+def _spine_elem_pos(base, n: int, i: int) -> list:
+    """Position of component i (0-based) of a right-nested n-spine."""
+    return _spine_node_pos(base, i) + ([0] if i < n - 1 else [])
+
+
 def _spine_swap(rw: _Rewriter, base, n: int, i: int):
     """Swap spine components i and i+1 of a right-nested n-spine."""
     node_pos = _spine_node_pos(base, i)
@@ -635,7 +639,7 @@ def _normalize_p_at(rw: _Rewriter, pos):
     _right_assoc_p(rw, pos)
     n = len(_spine_items(rw.at(pos)))
     for i in range(n):
-        comp_pos = _spine_node_pos(pos, i) + ([0] if i < n - 1 else [])
+        comp_pos = _spine_elem_pos(pos, n, i)
         comp = rw.at(comp_pos)
         if isinstance(comp, Dirac):
             _normalize_nd_at(rw, comp_pos + [0])
@@ -655,13 +659,9 @@ def normalize_p(term: PTerm, budget: int = 100000):
     """Canonical flat probabilistic form: a right-nested spine of Dirac
     components with normalized, sorted, distinct states.  Returns the
     flat decomposition [(mass, state), ...] plus the trace."""
-    rw = _Rewriter(term, _Budget(budget))
-    _normalize_p_at(rw, [])
-    items = _spine_items(rw.term)
-    weights = _spine_weights(rw.term)
-    decomposition = tuple(
-        (w, comp.body) for w, comp in zip(weights, items))
-    return decomposition, ProofTrace(term, tuple(rw.steps), rw.term)
+    spine, trace = canonical_pterm(term, budget)
+    return tuple((w, comp.body) for w, comp in zip(
+        _spine_weights(spine), _spine_items(spine))), trace
 
 
 def canonical_pterm(term: PTerm, budget: int = 100000):
@@ -974,8 +974,8 @@ class _Prover:
                 for i, comp in enumerate(spine):
                     rep = reps[partition.class_of(comp.body)]
                     if comp.body != rep:
-                        pos = _spine_node_pos([], i) + ([0] if i < n - 1 else [])
-                        rw.splice(pos + [0], prove_states(comp.body, rep))
+                        rw.splice(_spine_elem_pos([], n, i) + [0],
+                                  prove_states(comp.body, rep))
                 _bubble_sort(_spine_swap, _spine_items, p_key, rw, [])
                 _spine_merge(rw, [])
             if rw_p.term != rw_q.term:
@@ -1036,24 +1036,19 @@ class _Prover:
     def _find_inert_summand(self, items, state):
         """Index of a silent summand whose body dissolves the whole state,
         plus the side condition needed for its discharge."""
+        tables = branching_analysis({state})
         for j, s in enumerate(items):
-            if not (isinstance(s, Prefix) and s.action.is_tau):
-                continue
-            if not branching_equiv(den(s.body), dirac(state)).equivalent:
-                continue
-            if len(items) == 1:
-                return j
-            rest = [t for k, t in enumerate(items) if k != j]
-            h_term = rest[0]
-            for t in rest[1:]:
-                h_term = Sum(h_term, t)
-            if sqsubseteq(h_term, s.body):
+            if (isinstance(s, Prefix) and s.action.is_tau
+                    and tables.dissolves(state, den(s.body))
+                    and (len(items) == 1 or sqsubseteq(
+                        reduce(Sum, items[:j] + items[j + 1:]), s.body))):
                 return j
         return None
 
     def _find_partially_inert(self, items, state):
-        partition = branching_analysis(derivatives(Dirac(state))).partition
-        cls = partition.class_of(state)
+        # A class-mass test, not equivalent_fraction: _reshape_partial
+        # needs the class, whose support part it gathers into one state.
+        cls = branching_analysis({state}).partition.class_of(state)
         for j, s in enumerate(items):
             if not (isinstance(s, Prefix) and s.action.is_tau):
                 continue
@@ -1119,8 +1114,8 @@ class _Prover:
         for i in t_idx:
             comp = _spine_items(rw.at(pos))[i]
             if comp.body != rep:
-                comp_pos = _spine_node_pos(pos, i) + ([0] if i < n - 1 else [])
-                rw.splice(comp_pos + [0], self.strong(comp.body, rep))
+                rw.splice(_spine_elem_pos(pos, n, i) + [0],
+                          self.strong(comp.body, rep))
         # bubble the equivalent copies to the front, then merge them
         for front, i in enumerate(t_idx):
             current = _spine_items(rw.at(pos))
@@ -1197,14 +1192,9 @@ class _Prover:
                     rw.splice(_chain_elem_pos(base, n, j), sub_steps)
             state = rw.at(base)
             items = summands(state)
-            partition = branching_analysis(
-                derivatives(Dirac(state))).partition
-            inert_j = None
-            for j, s in enumerate(items):
-                if s.action.is_tau and partition.index_of(
-                        s.body.body) == partition.index_of(state):
-                    inert_j = j
-                    break
+            tables = branching_analysis({state})
+            inert_j = next((j for j, s in enumerate(items) if s.action.is_tau
+                            and tables.dissolves(state, den(s.body))), None)
             if inert_j is None:
                 break
             if len(items) == 1:

@@ -54,6 +54,11 @@ The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
 additionally identifies a point distribution with the mixture it
 silently dissolves into, which the stable signature captures.
+
+Outside refinement, `inertness`, `is_rigid`, `is_concrete` and the
+prover read inertness off the final branching tables of the state's
+derivatives (`_Tables.dissolves`, `_Tables.equivalent_fraction`); the
+analyses are cached by derivative set.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 
 class _Tables:
     """Inertness classification and stable signatures for a fixed
-    partition over its universe."""
+    partition over its universe; on the final branching partition,
+    `dissolves` and `equivalent_fraction` answer inertness questions."""
 
     def __init__(self, partition: Partition):
         self.partition = partition
@@ -175,6 +181,29 @@ class _Tables:
                         out[k] += m * x
             sig = self._sig_cache[mu] = tuple(out)
         return sig
+
+    def dissolves(self, state: NdTerm, target: Distribution) -> bool:
+        """Does `target` stabilize onto the state's own stable signature,
+        so that a silent move from the state to it is inert?"""
+        return self.stab_sig(target) == self.stabsig_state[state]
+
+    def equivalent_fraction(self, mu: Distribution, ref: tuple):
+        """Largest r such that mu = r*mu1 (+) (1-r)*mu2 with mu1
+        stabilizing onto ref.  Stable signatures are linear, so with p_t
+        the mass of support state t put into mu1 this is one LP: maximize
+        the sum of p_t <= mu(t) subject to sum_t p_t*(row[t] - ref) = 0.
+        The rows and ref are probability vectors, so the sum is r."""
+        lp = LP()
+        rows = [{} for _ in ref]
+        for t, m in mu.entries:
+            lp.add_le({lp.var(("p", t)): ONE}, m)
+            for k, (x, want) in enumerate(zip(self.stabsig_state[t], ref)):
+                if x != want:
+                    rows[k][("p", t)] = x - want
+        for coeffs in rows:
+            if coeffs:
+                lp.add_eq(coeffs, ZERO)
+        return lp.maximize({("p", t): ONE for t in mu.support})["__value__"]
 
     def inert_transitions(self, states) -> tuple:
         out = []
@@ -232,12 +261,8 @@ class _Tables:
                 start, action, end_sig, mid_sig)
         return hit
 
-    def _reach(self, mu: Distribution):
-        return tuple(sorted(set().union(*(derivatives(s) for s in mu.support)),
-                            key=nd_key))
-
     def _transfer_lp(self, start, action, end_sig, mid_sig) -> bool:
-        states = self._reach(start)
+        states = tuple(sorted(_closure(start.support), key=nd_key))
         lp = LP()
         nubar = add_flow_result(lp, "w", dict(start.entries), states,
                                 tau_transition_list(states))
@@ -366,9 +391,9 @@ def _start_partition(states) -> Partition:
     return partition_from_classes(groups.values())
 
 
-def _refine(check, roots: frozenset):
-    """Generic signature-refinement loop over the roots' derivatives,
-    starting from the classes of _start_partition.
+def _refine(check, states: frozenset):
+    """Generic signature-refinement loop over a derivative-closed state
+    set, starting from the classes of _start_partition.
 
     Per round, each class collects its members' challenges (action plus
     required continuation signature) and mid signatures, and every member
@@ -377,7 +402,6 @@ def _refine(check, roots: frozenset):
     answers its own challenges, so equal profiles imply the mutual
     transfer condition; grouping by profile is order-independent.
     """
-    states = frozenset().union(*(derivatives(r) for r in roots))
     partition = _start_partition(states)
     while True:
         ctx = check.context(partition)
@@ -404,27 +428,20 @@ class _BranchingCheck:
         return tables.transfer_feasible(dirac(state), action, end_sig, mid)
 
 
+def _closure(roots: Iterable[NdTerm]) -> frozenset:
+    return frozenset().union(*(derivatives(r) for r in roots))
+
+
 @lru_cache(maxsize=512)
-def _branching_analysis(roots: frozenset) -> _Tables:
-    return _refine(_BranchingCheck(), roots)[1]
+def _branching_analysis(states: frozenset) -> _Tables:
+    return _refine(_BranchingCheck(), states)[1]
 
 
 def branching_analysis(roots: Iterable[NdTerm]) -> _Tables:
     """The tables of the final branching partition (`.partition`) of
-    the roots' derivatives."""
-    return _branching_analysis(frozenset(roots))
-
-
-def branching_partition(roots: Iterable[NdTerm]) -> Partition:
-    """Coarsest self-consistent branching partition of the derivative set."""
-    return branching_analysis(roots).partition
-
-
-def _support_roots(*dists: Distribution) -> frozenset:
-    out = set()
-    for d in dists:
-        out.update(d.support)
-    return frozenset(out)
+    the roots' derivatives.  The cache is keyed by the derivative set,
+    so every question about one state shares one analysis."""
+    return _branching_analysis(_closure(roots))
 
 
 def _mismatch_witness(check, ctx, partition: Partition, left_sig,
@@ -446,7 +463,7 @@ def _mismatch_witness(check, ctx, partition: Partition, left_sig,
 def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     """Branching probabilistic bisimilarity of two distributions: equal
     stable signatures."""
-    tables = branching_analysis(_support_roots(mu, nu))
+    tables = branching_analysis(mu.support + nu.support)
     left = tables.stab_sig(mu)
     right = tables.stab_sig(nu)
     if left == right:
@@ -523,18 +540,18 @@ def _direct_step(signature, mu: Distribution, action: Action, sig: tuple,
 
 
 @lru_cache(maxsize=512)
-def _strong_partition(roots: frozenset) -> Partition:
-    return _refine(_StrongCheck(), roots)[0]
+def _strong_partition(states: frozenset) -> Partition:
+    return _refine(_StrongCheck(), states)[0]
 
 
 def strong_partition(roots: Iterable[NdTerm]) -> Partition:
     """Coarsest strong-bisimulation partition of the joint derivative set."""
-    return _strong_partition(frozenset(roots))
+    return _strong_partition(_closure(roots))
 
 
 def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
     """Strong probabilistic bisimilarity: equal class masses per strong class."""
-    partition = _strong_partition(_support_roots(mu, nu))
+    partition = strong_partition(mu.support + nu.support)
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
         return Verdict(True, "strong")
@@ -572,8 +589,8 @@ def rooted_branching_equiv(p, q) -> Verdict:
     rooted-branching state class."""
     mu = den(p) if isinstance(p, PTerm) else p
     nu = den(q) if isinstance(q, PTerm) else q
-    tables = branching_analysis(_support_roots(mu, nu))
-    states = frozenset(mu.support) | frozenset(nu.support)
+    states = mu.support + nu.support
+    tables = branching_analysis(states)
     partition = rooted_partition_over(tables, states)
     left, right = partition.sig(mu), partition.sig(nu)
     if left == right:
@@ -607,88 +624,44 @@ class InertnessResult:
     fraction: object = None  # maximal equivalent fraction for partial inertness
 
 
-def _tables_for(partition: Partition, extra_states: Iterable[NdTerm]) -> _Tables:
-    states = set(partition.universe)
-    for s in extra_states:
-        states |= derivatives(s)
-    classes = list(partition.classes)
-    classes.extend(frozenset({s}) for s in states - partition.universe)
-    return _Tables(partition_from_classes(classes))
+def inertness(state: NdTerm, transition: StateTransition) -> InertnessResult:
+    """Classify a silent transition on the final branching tables of the
+    state's derivatives.
 
-
-def inertness(state: NdTerm, transition: StateTransition,
-              partition: Partition) -> InertnessResult:
-    """Classify a silent transition relative to a candidate partition.
-
-    inert: the target stabilizes onto the same signature as the source
-    point mass.  partially inert: a maximal fraction r in (0,1] of the
-    target is equivalent to the source; the canonical split puts the
-    support states of the source's class on the equivalent side.
+    inert: the target stabilizes onto the source's own stable signature.
+    partially inert: a maximal fraction r in (0,1) of the target does,
+    `_Tables.equivalent_fraction`.
     """
     if transition.source != state or not transition.action.is_tau:
         raise ArgumentError("expected a silent transition of the given state")
     if transition not in nd_transitions(state):
         raise ArgumentError("transition is not derivable from the state")
-    tables = _tables_for(partition, [state])
+    tables = branching_analysis({state})
     target = transition.target
-    source_sig = tables.stabsig_state[state]
-    if tables.stab_sig(target) == source_sig:
+    if tables.dissolves(state, target):
         return InertnessResult(INERT, ONE)
-    r = _max_equivalent_fraction(tables, target, source_sig)
+    r = tables.equivalent_fraction(target, tables.stabsig_state[state])
     if r > ZERO:
         return InertnessResult(PARTIALLY_INERT, r)
     return InertnessResult(NEITHER)
 
 
-def _max_equivalent_fraction(tables: _Tables, mu: Distribution,
-                             ref_sig: tuple):
-    """Largest r such that mu = r*mu1 (+) (1-r)*mu2 with mu1 stabilizing
-    onto ref_sig.  Stabilization scales linearly, so this is one LP."""
-    states = tables._reach(mu)
-    lp = LP()
-    part = {}
-    for s in states:
-        part[s] = lp.var(("p", s))
-        lp.add_le({part[s]: ONE}, mu.mass(s))
-    omega = add_flow_result(lp, "q", {s: ("p", s) for s in states},
-                            states, tables.inert_transitions(states))
-    for s in states:
-        if s in tables.unstable:
-            lp.add_eq({omega[s]: ONE}, ZERO)
-    for k, cls in enumerate(tables.partition.classes):
-        coeffs = {omega[s]: ONE for s in states if s in cls}
-        for s in states:
-            if ref_sig[k] != ZERO:
-                coeffs[part[s]] = coeffs.get(part[s], ZERO) - ref_sig[k]
-        lp.add_eq(coeffs, ZERO)
-    sol = lp.maximize({part[s]: ONE for s in states})
-    return sol["__value__"] if sol else ZERO
-
-
 def is_rigid(state: NdTerm) -> bool:
     """No fully inert silent transition."""
-    tables = branching_analysis(frozenset({state}))
-    src = tables.stabsig_state[state]
-    for tr in nd_transitions(state):
-        if tr.action.is_tau and tables.stab_sig(tr.target) == src:
-            return False
-    return True
+    return state not in branching_analysis({state}).unstable
 
 
 def is_concrete(p) -> bool:
-    """No derivative can perform an even partially inert silent transition."""
-    roots = derivatives(p if isinstance(p, PTerm) else Dirac(p))
-    tables = branching_analysis(roots)
-    for state in roots:
-        for tr in nd_transitions(state):
-            if not tr.action.is_tau:
-                continue
-            ref = tables.stabsig_state[state]
-            if tables.stab_sig(tr.target) == ref:
-                return False
-            if _max_equivalent_fraction(tables, tr.target, ref) > ZERO:
-                return False
-    return True
+    """No derivative can perform an even partially inert silent
+    transition: every silent move has equivalent fraction 0.  An inert
+    move has fraction 1, so this one test covers both cases."""
+    states = derivatives(p if isinstance(p, PTerm) else Dirac(p))
+    tables = branching_analysis(states)
+    return all(
+        tables.equivalent_fraction(tr.target, tables.stabsig_state[state])
+        == ZERO
+        for state in states for tr in nd_transitions(state)
+        if tr.action.is_tau)
 
 
 def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
@@ -697,7 +670,7 @@ def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
     mu and nu branching bisimilar.  The silent case may move only part of
     den(P) (or nothing); a visible step is a full combined transition."""
     target = den(p)
-    tables = branching_analysis(frozenset({state}) | frozenset(target.support))
+    tables = branching_analysis((state,) + target.support)
     stab_sig = tables.stab_sig
     return all(
         _direct_step(stab_sig, target, tr.action, stab_sig(tr.target),

@@ -80,10 +80,6 @@ class GenConfig:
         if self.weight_denominator_bound < 2:
             raise ValueError("weight denominator bound must be >= 2")
 
-    @property
-    def action_alphabet(self) -> frozenset:
-        return frozenset(Action(name) for name in self.actions)
-
 
 def _pick_action(rng: random.Random, cfg: GenConfig) -> Action:
     bias = cfg.tau_bias

@@ -21,7 +21,6 @@ except ImportError:
 
 ZERO = rat(0)
 ONE = rat(1)
-HALF = rat(1, 2)
 
 
 def is_rat(value) -> bool:

@@ -7,6 +7,9 @@ import random
 from probranch import equivalence
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
+    INERT,
+    NEITHER,
+    PARTIALLY_INERT,
     _ROOTED_CHECK,
     _BranchingCheck,
     _StrongCheck,
@@ -14,6 +17,9 @@ from probranch.equivalence import (
     _start_partition,
     branching_analysis,
     check,
+    inertness,
+    is_concrete,
+    is_rigid,
     partition_from_classes,
     sqsubseteq,
     strong_partition,
@@ -609,3 +615,85 @@ def test_sparse_flow_and_step_rows_match_dense():
                                        action)) == _strict(
                 _chained_lp(_dense_add_flow_result, _dense_step_stage, mu,
                             states, action)), (roots, action)
+
+
+def _flow_equivalent_fraction(tables, mu, ref_sig):
+    """The flow-LP reading of the partial-inertness optimum, the oracle
+    for _Tables.equivalent_fraction: the largest part of mu that, with
+    its unstable mass sent along any inert transitions, ends stable with
+    class masses ref_sig scaled by its size."""
+    states = tuple(sorted(set().union(*(derivatives(s) for s in mu.support)),
+                          key=nd_key))
+    lp = LP()
+    part = {}
+    for s in states:
+        part[s] = lp.var(("p", s))
+        lp.add_le({part[s]: ONE}, mu.mass(s))
+    omega = add_flow_result(lp, "q", {s: ("p", s) for s in states},
+                            states, tables.inert_transitions(states))
+    for s in states:
+        if s in tables.unstable:
+            lp.add_eq({omega[s]: ONE}, ZERO)
+    for k, cls in enumerate(tables.partition.classes):
+        coeffs = {omega[s]: ONE for s in states if s in cls}
+        for s in states:
+            if ref_sig[k] != ZERO:
+                coeffs[part[s]] = coeffs.get(part[s], ZERO) - ref_sig[k]
+        lp.add_eq(coeffs, ZERO)
+    return lp.maximize({part[s]: ONE for s in states})["__value__"]
+
+
+def _oracle_inertness(tables, state, tr):
+    ref = tables.stabsig_state[state]
+    if tables.stab_sig(tr.target) == ref:
+        return INERT, ONE
+    r = _flow_equivalent_fraction(tables, tr.target, ref)
+    return (PARTIALLY_INERT, r) if r > ZERO else (NEITHER, None)
+
+
+def _partially_inert_root_sets(count):
+    """a.D(E + tau.(D(E) +[r] D(Q))) with E = F + tau.D(Q), for seeded F
+    and Q: the outer silent move is partially inert with fraction r
+    unless E and Q are equivalent, which gen_nd alone seldom builds."""
+    rng = random.Random(43)
+    for k in range(count):
+        cfg = GenConfig(seed=rng.randrange(2 ** 32),
+                        max_complexity=5 + k % 4, tau_bias=rat(1, 3))
+        q = gen_nd(GenConfig(seed=cfg.seed + 1, max_complexity=4,
+                             tau_bias=cfg.tau_bias))
+        e = Sum(gen_nd(cfg), Prefix(TAU, Dirac(q)))
+        r = rat(rng.randint(1, 5), 6)
+        state = Sum(e, Prefix(TAU, PChoice(Dirac(e), r, Dirac(q))))
+        yield frozenset({Prefix(Action("a"), Dirac(state))})
+
+
+def test_inertness_rigid_concrete_match_flow_oracle():
+    """inertness (kind and fraction), is_rigid and is_concrete agree with
+    the flow LP over inert transitions and the stable-signature loops,
+    read on fresh tables of a joint branching partition, on every
+    derivative of seeded states, tau-heavy root sets and states built to
+    be partially inert."""
+    root_sets = [frozenset({gen_nd(GenConfig(seed=seed, max_complexity=8))})
+                 for seed in range(60)]
+    root_sets += list(_tau_heavy_root_sets(60))
+    root_sets += list(_partially_inert_root_sets(32))
+    kinds = {INERT: 0, PARTIALLY_INERT: 0, NEITHER: 0}
+    for roots in root_sets:
+        tables = equivalence._Tables(branching_analysis(roots).partition)
+        seen = {}
+        for state in tables.partition.universe:
+            seen[state] = set()
+            for tr in nd_transitions(state):
+                if not tr.action.is_tau:
+                    continue
+                kind, fraction = _oracle_inertness(tables, state, tr)
+                res = inertness(state, tr)
+                assert (res.kind, res.fraction) == (kind, fraction), (
+                    state, tr)
+                kinds[kind] += 1
+                seen[state].add(kind)
+        for state in tables.partition.universe:
+            assert is_rigid(state) == (INERT not in seen[state]), state
+            assert is_concrete(Dirac(state)) == all(
+                seen[s] <= {NEITHER} for s in derivatives(state)), state
+    assert kinds[PARTIALLY_INERT] >= 10 and kinds[INERT] > 0, kinds

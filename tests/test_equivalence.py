@@ -6,8 +6,8 @@ from probranch.equivalence import (
     NEITHER,
     PARTIALLY_INERT,
     ArgumentError,
+    branching_analysis,
     branching_equiv,
-    branching_partition,
     check,
     inertness,
     is_concrete,
@@ -89,7 +89,7 @@ def test_strong_choice_idempotence_semantics():
 
 
 def test_branching_tau_prefix_identified():
-    part = branching_partition({nd("tau.D(a.D(0))"), nd("a.D(0)")})
+    part = branching_analysis({nd("tau.D(a.D(0))"), nd("a.D(0)")}).partition
     assert same_class(part, nd("tau.D(a.D(0))"), nd("a.D(0)"))
 
 
@@ -97,7 +97,7 @@ def test_branching_tau_not_inert_with_alternative():
     # 0 + b.0 is not branching bisimilar to tau.0 + b.0
     e = nd("0 + b.D(0)")
     f = nd("tau.D(0) + b.D(0)")
-    part = branching_partition({e, f})
+    part = branching_analysis({e, f}).partition
     assert not same_class(part, e, f)
 
 
@@ -180,16 +180,13 @@ def _tau_transition(state, idx=0):
 
 def test_inert_tau_prefix():
     state = nd("tau.(D(b.D(0)) +[1/2] D(c.D(0)))")
-    part = branching_partition({state})
-    res = inertness(state, _tau_transition(state), part)
+    res = inertness(state, _tau_transition(state))
     assert res.kind == INERT
 
 
 def test_inert_self_absorbing():
-    inner = nd("a.D(0) + b.D(0)")
     state = nd("a.D(0) + b.D(0) + tau.D(a.D(0) + b.D(0))")
-    part = branching_partition({state, inner})
-    res = inertness(state, _tau_transition(state), part)
+    res = inertness(state, _tau_transition(state))
     assert res.kind == INERT
 
 
@@ -197,31 +194,48 @@ def test_partially_inert_typical_case():
     # tau.(D(b.P + tau.Q) +[r] Q) + b.P + tau.Q with the canonical split
     state = nd("tau.(D(b.D(c.D(0)) + tau.D(d.D(0))) +[1/3] D(d.D(0)))"
                " + b.D(c.D(0)) + tau.D(d.D(0))")
-    part = branching_partition({state})
     taus = [t for t in nd_transitions(state) if t.action.is_tau]
     split = [t for t in taus
              if t.target != den(pt("D(d.D(0))"))][0]
-    res = inertness(state, split, part)
+    res = inertness(state, split)
     assert res.kind == PARTIALLY_INERT
     assert res.fraction == rat(1, 3)
 
 
+def test_partially_inert_onto_a_mixed_stable_row():
+    # The source is unstable: its stable signature is the mixture
+    # 1/2 X + 1/2 Y of its first target, and the equivalent part of the
+    # second target is its X and Y mass, though that target puts no mass
+    # on the source's own class.
+    x = "D(a.D(0) + tau.D(c.D(0)))"
+    y = "D(b.D(0) + tau.D(c.D(0)))"
+    first = pt(f"{x} +[1/2] {y}")
+    second = pt(f"{x} +[1/4] ({y} +[1/3] D(c.D(0)))")
+    state = nd(f"tau.({x} +[1/2] {y}) + tau.({x} +[1/4] ({y} +[1/3] "
+               "D(c.D(0))))")
+    taus = {t.target: t for t in nd_transitions(state) if t.action.is_tau}
+    assert inertness(state, taus[den(first)]).kind == INERT
+    res = inertness(state, taus[den(second)])
+    assert res.kind == PARTIALLY_INERT
+    assert res.fraction == rat(1, 2)
+    assert den(second).class_mass(
+        branching_analysis({state}).partition.class_of(state)) == 0
+
+
 def test_neither_tau():
     state = nd("tau.D(a.D(0)) + b.D(0)")
-    part = branching_partition({state})
-    res = inertness(state, _tau_transition(state), part)
+    res = inertness(state, _tau_transition(state))
     assert res.kind == NEITHER
 
 
 def test_inertness_argument_error():
     state = nd("a.D(0)")
     tr = nd_transitions(state)[0]
-    part = branching_partition({state})
     with pytest.raises(ArgumentError):
-        inertness(state, tr, part)
+        inertness(state, tr)
     other = StateTransition(nd("b.D(0)"), TAU, dirac(ZERO_TERM))
     with pytest.raises(ArgumentError):
-        inertness(state, other, part)
+        inertness(state, other)
 
 
 # ------------------------------------------------------- concrete / rigid
@@ -289,7 +303,7 @@ def test_branching_partition_e1_e6_same_class():
     e1 = nd(f"tau.(D(tau.D({m}) + c.D(y.D(0)) + tau.D(z.D(0))) "
             f"+[1/2] D(tau.(D({m}) +[1/2] D(0))))")
     e6 = nd(f"tau.(D({m}) +[3/4] D(0))")
-    part = branching_partition({e1, e6})
+    part = branching_analysis({e1, e6}).partition
     assert same_class(part, e1, e6)
 
 

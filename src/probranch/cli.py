@@ -141,62 +141,61 @@ def _int_at_least(low: int):
     return parse
 
 
-def _check_arguments(p) -> None:
-    p.add_argument("--rel", choices=RELATIONS, required=True)
-    p.add_argument("--left", required=True, metavar="TERM|@FILE")
-    p.add_argument("--right", required=True, metavar="TERM|@FILE")
-    p.add_argument("--json", action="store_true")
+# Each command once: its help line, its handler, and its options as
+# argparse's add_argument calls, in the order help lists them.
+_TERM = dict(required=True, metavar="TERM|@FILE")
+_BUDGET = dict(type=_int_at_least(0), default=100000)
+_JSON = dict(action="store_true")
 
-
-def _prove_arguments(p) -> None:
-    p.add_argument("--left", required=True, metavar="TERM|@FILE")
-    p.add_argument("--right", required=True, metavar="TERM|@FILE")
-    p.add_argument("--budget", type=_int_at_least(0), default=100000)
-    p.add_argument("--json", action="store_true")
-
-
-def _normalize_arguments(p) -> None:
-    p.add_argument("--form", choices=("nd", "p", "concrete"), required=True)
-    p.add_argument("--term", required=True, metavar="TERM|@FILE")
-
-
-def _concretize_arguments(p) -> None:
-    p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    p.add_argument("--budget", type=_int_at_least(0), default=100000)
-    p.add_argument("--trace", action="store_true",
-                   help="also print the proof trace as JSON lines")
-
-
-def _lts_arguments(p) -> None:
-    p.add_argument("--term", required=True, metavar="TERM|@FILE")
-    p.add_argument("--dot", action="store_true", default=True)
-
-
-def _fuzz_arguments(p) -> None:
-    p.add_argument("--suite", required=True, choices=suite_names())
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-complexity", type=_int_at_least(1), default=8)
-
-
-# Each command once: its help line, the function that adds its
-# arguments, and its handler.
 COMMANDS = {
-    "check": ("decide an equivalence", _check_arguments, _cmd_check),
-    "prove": ("produce a replayable proof", _prove_arguments, _cmd_prove),
-    "normalize": ("print a canonical form", _normalize_arguments,
-                  _cmd_normalize),
-    "concretize": ("remove (partially) inert silent steps",
-                   _concretize_arguments, _cmd_concretize),
-    "lts": ("export the transition graph", _lts_arguments, _cmd_lts),
-    "fuzz": ("run a property suite", _fuzz_arguments, _cmd_fuzz),
+    "check": ("decide an equivalence", _cmd_check, (
+        ("--rel", dict(choices=RELATIONS, required=True)),
+        ("--left", _TERM),
+        ("--right", _TERM),
+        ("--json", _JSON),
+    )),
+    "prove": ("produce a replayable proof", _cmd_prove, (
+        ("--left", _TERM),
+        ("--right", _TERM),
+        ("--budget", _BUDGET),
+        ("--json", _JSON),
+    )),
+    "normalize": ("print a canonical form", _cmd_normalize, (
+        ("--form", dict(choices=("nd", "p", "concrete"), required=True)),
+        ("--term", _TERM),
+    )),
+    "concretize": ("remove (partially) inert silent steps", _cmd_concretize, (
+        ("--term", _TERM),
+        ("--budget", _BUDGET),
+        ("--trace", dict(action="store_true",
+                         help="also print the proof trace as JSON lines")),
+    )),
+    "lts": ("export the transition graph", _cmd_lts, (
+        ("--term", _TERM),
+        ("--dot", dict(action="store_true", default=True)),
+    )),
+    # The suite names are listed only when the fuzz options are read.
+    "fuzz": ("run a property suite", _cmd_fuzz, (
+        ("--suite", dict(required=True, choices=suite_names)),
+        ("--trials", dict(type=_int_at_least(0), default=100)),
+        ("--seed", dict(type=int, default=0)),
+        ("--max-complexity", dict(type=_int_at_least(1), default=8)),
+    )),
 }
 
 
+def _options(name: str):
+    """The command's options as (option string, add_argument keywords)."""
+    for flag, kwargs in COMMANDS[name][2]:
+        if callable(kwargs.get("choices")):
+            kwargs = {**kwargs, "choices": kwargs["choices"]()}
+        yield flag, kwargs
+
+
 def _fill(parser: argparse.ArgumentParser, name: str):
-    _, add_arguments, handler = COMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(func=handler)
+    for flag, kwargs in _options(name):
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=COMMANDS[name][1])
     return parser
 
 
@@ -214,20 +213,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list):
+    """The namespace argparse returns for a well-formed command line, or
+    None for any other.  Well-formed: a command, then its full option
+    strings, each valued one followed by a value that does not start
+    with '-' and that its type and choices accept (the last of repeats
+    wins), and every required option.  Everything else (help, `--opt=v`,
+    abbreviations, values such as `-1`, extra arguments, errors) goes to
+    argparse.  Building a parser costs a large share of a small query's
+    time, most of it the `locale` import that its gettext calls make."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name = argv[0]
+    options = dict(_options(name))
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        convert = kwargs.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(func=COMMANDS[name][1])
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        unset = False if kwargs.get("action") == "store_true" else None
+        setattr(args, flag[2:].replace("-", "_"),
+                given.get(flag, kwargs.get("default", unset)))
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A named command needs only its own parser: building all six takes
-    # about as long as a small query.
-    if argv and argv[0] in COMMANDS:
-        name, argv = argv[0], argv[1:]
-        parser = _fill(argparse.ArgumentParser(prog=f"probranch {name}"),
-                       name)
-    else:
-        parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read(argv)
+    if args is None:
+        # A named command needs only its own parser: building all six
+        # takes about as long as a small query.
+        if argv and argv[0] in COMMANDS:
+            name = argv[0]
+            parser = _fill(argparse.ArgumentParser(prog=f"probranch {name}"),
+                           name)
+            argv = argv[1:]
+        else:
+            parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except ParseError as exc:

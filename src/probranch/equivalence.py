@@ -192,13 +192,15 @@ class _Tables:
         stabilizing onto ref.  Stable signatures are linear, so with p_t
         the mass of support state t put into mu1 this is one LP: maximize
         the sum of p_t <= mu(t) subject to sum_t p_t*(row[t] - ref) = 0.
-        The rows and ref are probability vectors, so the sum is r."""
+        The rows and ref are probability vectors, so the sum is r, and
+        the rows of classes on ref's support force zero mass on every
+        other class: only those rows are added."""
         lp = LP()
         rows = [{} for _ in ref]
         for t, m in mu.entries:
             lp.add_le({lp.var(("p", t)): ONE}, m)
             for k, (x, want) in enumerate(zip(self.stabsig_state[t], ref)):
-                if x != want:
+                if want and x != want:
                     rows[k][("p", t)] = x - want
         for coeffs in rows:
             if coeffs:
@@ -654,12 +656,13 @@ def is_rigid(state: NdTerm) -> bool:
 def is_concrete(p) -> bool:
     """No derivative can perform an even partially inert silent
     transition: every silent move has equivalent fraction 0.  An inert
-    move has fraction 1, so this one test covers both cases."""
+    move, which needs no LP to see, already fails."""
     states = derivatives(p if isinstance(p, PTerm) else Dirac(p))
     tables = branching_analysis(states)
     return all(
-        tables.equivalent_fraction(tr.target, tables.stabsig_state[state])
-        == ZERO
+        not tables.dissolves(state, tr.target)
+        and tables.equivalent_fraction(
+            tr.target, tables.stabsig_state[state]) == ZERO
         for state in states for tr in nd_transitions(state)
         if tr.action.is_tau)
 

@@ -86,8 +86,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
         self.pos = 0
 
     @property
@@ -171,25 +171,30 @@ class _Parser:
         return term
 
 
+def _parse(tokens: list[_Token], rule):
+    p = _Parser(tokens)
+    return p.finish(rule(p))
+
+
 def parse_nd(text: str) -> NdTerm:
-    p = _Parser(text)
-    return p.finish(p.parse_ndterm())
+    return _parse(_tokenize(text), _Parser.parse_ndterm)
 
 
 def parse_p(text: str) -> PTerm:
-    p = _Parser(text)
-    return p.finish(p.parse_pterm())
+    return _parse(_tokenize(text), _Parser.parse_pterm)
 
 
 def parse_term(text: str):
     """Parse either sort; non-deterministic terms are tried first.  When
     neither parses, the error is that of the parse that got further, the
-    non-deterministic one on a tie."""
+    non-deterministic one on a tie.  The text is tokenized once, so a
+    tokenizer error is raised before either parse."""
+    tokens = _tokenize(text)
     try:
-        return parse_nd(text)
+        return _parse(tokens, _Parser.parse_ndterm)
     except ParseError as nd_err:
         try:
-            return parse_p(text)
+            return _parse(tokens, _Parser.parse_pterm)
         except ParseError as p_err:
             further = ((p_err.line, p_err.column)
                        > (nd_err.line, nd_err.column))

@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from probranch.cli import main
+from probranch.cli import COMMANDS, _fill, _read, build_parser, main
 
 
 def run(capsys, *argv):
@@ -232,3 +236,152 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
                                       "--right", "a.D(0)"])
     assert main() == 0
     assert capsys.readouterr().out == "equivalent (strong)\n"
+
+
+# A well-formed command line is read without argparse; argparse parses
+# and reports every other one.
+WELL_FORMED = [
+    ("check", "--rel", "strong", "--left", "a.D(0)", "--right", "a.D(0)"),
+    ("prove", "--left", "b.D(0) + a.D(0)", "--right", "a.D(0) + b.D(0)"),
+    ("normalize", "--form", "nd", "--term", "b.D(0) + 0 + a.D(0)"),
+    ("concretize", "--term", "D(tau.D(a.D(0)))", "--trace"),
+    ("lts", "--term", "a.D(0)"),
+    ("fuzz", "--suite", "inclusion_chain", "--trials", "2",
+     "--max-complexity", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+def test_well_formed_command_builds_no_parser(capsys, monkeypatch, argv):
+    def no_parser(*_args, **_kwargs):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def _parsed_by_argparse(argv):
+    if argv and argv[0] in COMMANDS:
+        parser = _fill(argparse.ArgumentParser(prog=f"probranch {argv[0]}"),
+                       argv[0])
+        argv = argv[1:]
+    else:
+        parser = build_parser()
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _option_groups(argv):
+    """The arguments after the command, a flag alone and any other
+    argument with the one after it; None if the last one is left over."""
+    flags = {flag for flag, kwargs in COMMANDS[argv[0]][2]
+             if kwargs.get("action") == "store_true"}
+    groups, rest = [], list(argv[1:])
+    while rest:
+        flag = rest.pop(0)
+        if flag in flags:
+            groups.append((flag,))
+        elif rest:
+            groups.append((flag, rest.pop(0)))
+        else:
+            return None
+    return groups
+
+
+def _agreement_corpus():
+    corpus = [tuple(case["argv"]) for case in SNAPSHOTS] + WELL_FORMED + [
+        ("check", "--rel", "rooted-branching", "--left", INTRO_S0,
+         "--right", INTRO_T0),
+        ("check", "--rel", "branching", "--json", "--left", "tau.D(a.D(0))",
+         "--right", "a.D(0)"),
+        ("check", "--rel", "strong", "--left", "@/nonexistent/term",
+         "--right", "0"),
+        ("prove", "--left", INTRO_S0, "--right", INTRO_T0, "--budget", "2"),
+        ("prove", "--left", "a.D(0)", "--right", "b.D(0)", "--json"),
+        ("fuzz", "--suite", "soundness", "--max-complexity", "0"),
+        ("fuzz", "--suite", "soundness", "--trials", "-3"),
+        ("fuzz", "--suite", "soundness", "--seed", "-3"),
+        ("fuzz", "--suite", "soundness", "--seed", "x"),
+        ("prove", "--left", "a.D(0) + a.D(0)", "--right", "a.D(0)",
+         "--budget", "-1"),
+        ("concretize", "--term", "a.D(0)", "--budget", "-1"),
+        ("concretize", "--term", "a.D(0)", "--budget", "1.5"),
+        ("normalize", "--form", "p", "--term", "D(a.D(0)) +[1/2] D(a.D(0))"),
+        ("normalize", "--form", "concrete", "--term", "D(tau.D(a.D(0)))"),
+        ("lts", "--dot", "--term", "a.(D(b.D(0)) +[1/2] D(0))"),
+        ("fuzz", "--suite", "inclusion_chain", "--trials", "5", "--seed",
+         "3", "--max-complexity", "4"),
+        # repeats: the last value wins; a flag may be given twice
+        ("check", "--rel", "branching", "--rel", "strong", "--left", "0",
+         "--right", "0", "--json", "--json"),
+        ("concretize", "--trace", "--term", "0", "--trace"),
+        ("check", "--rel", "bogus", "--rel", "strong", "--left", "0",
+         "--right", "0"),
+        ("check", "--rel", "strong", "--rel", "bogus", "--left", "0",
+         "--right", "0"),
+        ("prove", "--left", "0", "--right", "0", "--budget", "1",
+         "--budget", "7"),
+        # empty, '-' and option-like values; `--opt=v`; abbreviations
+        ("check", "--rel", "strong", "--left", "", "--right", "0"),
+        ("check", "--rel", "strong", "--left", "-", "--right", "0"),
+        ("check", "--rel", "strong", "--left", "-a.D(0)", "--right", "0"),
+        ("check", "--rel", "strong", "--left", "--right", "0"),
+        ("check", "--rel=strong", "--left", "0", "--right", "0"),
+        ("check", "--rel", "strong", "--left=0", "--right", "0"),
+        ("check", "--rel", "strong", "--lef", "0", "--right", "0"),
+        ("fuzz", "--suite", "soundness", "--max", "3"),
+        ("check", "--rel", "strong", "--left", "0", "--right", "0", "--js"),
+        ("check", "-h", "--rel", "strong", "--left", "0", "--right", "0"),
+        # missing values and options, extra arguments, bad choices
+        ("check", "--rel", "strong", "--left", "0", "--right"),
+        ("check", "--rel", "strong", "--left", "0"),
+        ("prove", "--left", "0"),
+        ("check", "--rel", "strong", "--left", "0", "--right", "0", "extra"),
+        ("check", "extra", "--rel", "strong", "--left", "0", "--right", "0"),
+        ("check", "--rel", "strong", "--left", "0", "--right", "0", "--"),
+        ("check", "--rel", "Strong", "--left", "0", "--right", "0"),
+        ("normalize", "--form", "ndp", "--term", "0"),
+        ("fuzz", "--suite", "bogus"),
+        ("lts",),
+        ("prove",),
+    ]
+    rng = random.Random(5)
+    for argv in list(corpus):
+        groups = argv and argv[0] in COMMANDS and _option_groups(argv)
+        for _ in range(3 if groups else 0):
+            rng.shuffle(groups)
+            corpus.append((argv[0],) + sum(groups, ()))
+    return corpus
+
+
+def test_reader_agrees_with_argparse(capsys):
+    read = declined = 0
+    for argv in _agreement_corpus():
+        args = _read(list(argv))
+        if args is None:
+            declined += 1
+        else:
+            read += 1
+            assert vars(args) == _parsed_by_argparse(list(argv)), argv
+    capsys.readouterr()
+    assert read and declined
+
+
+def test_well_formed_check_imports_no_locale():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from probranch.cli import main\n"
+            "assert main(['check', '--rel', 'strong', '--left', 'a.D(0)',"
+            " '--right', 'a.D(0)']) == 0\n"
+            "print('locale' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "equivalent (strong)\nFalse\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from probranch import parse
 from probranch.parse import (
     ParseError,
     parse_nd,
@@ -99,6 +100,15 @@ def test_parse_term_either_sort():
     assert isinstance(parse_term("(D(0) +[1/2] D(0))"), PChoice)
 
 
+def test_parse_term_tokenizes_once(monkeypatch):
+    texts = []
+    tokenize = parse._tokenize
+    monkeypatch.setattr(parse, "_tokenize",
+                        lambda text: texts.append(text) or tokenize(text))
+    assert isinstance(parse_term("D(0) +[1/2] D(a.D(0))"), PChoice)
+    assert texts == ["D(0) +[1/2] D(a.D(0))"]
+
+
 @pytest.mark.parametrize("text, message, position", [
     ("D(0) +[3/2] D(a.D(0))", "choice weight 3/2 outside (0,1)", (1, 8)),
     ("(D(0) +[1/2] D(0)", "expected ')'", (1, 18)),
@@ -106,6 +116,7 @@ def test_parse_term_either_sort():
     ("(D(0) +[ 1/1 ] D(0)) +[1/2] D(0)", "choice weight 1 outside (0,1)",
      (1, 10)),
     ("D(0) +[1/0] D(0)", "zero denominator", (1, 10)),
+    ("D(0) +[1/2] D(A)", "unexpected character", (1, 15)),
 ])
 def test_parse_term_reports_the_parse_that_got_further(text, message,
                                                        position):

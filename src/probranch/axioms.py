@@ -329,8 +329,6 @@ def apply_axiom(term, step: RewriteStep):
     """Apply one recorded rewrite step, re-verifying position, matching
     and side conditions."""
     sub = step.subst()
-    if step.axiom == AxiomId.P2:
-        sub = _p2_derived(sub)
     lhs, rhs = _axiom_sides(step.axiom, sub)
     src, dst = (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
     actual = get_subterm(term, step.position)

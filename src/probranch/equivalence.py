@@ -9,7 +9,11 @@ of states that can reach the same visible actions: branching
 bisimilarity preserves weak traces and strong bisimilarity is contained
 in it, so both relations refine that start, and the coarsest stable
 refinement of a partition that a bisimilarity refines is the
-bisimilarity itself.
+bisimilarity itself.  The same bottom-up pass gives each state a shape,
+an interned id of its transitions read as actions and target masses per
+shape.  States of one shape are strongly bisimilar, so refinement never
+splits them: a round profiles the first member of each shape in a class
+and hands its profile to the others, and the rooted step does the same.
 
 * strong — a state pair survives iff every transition of one is matched
   by a combined transition of the other with the same class-mass vector.
@@ -157,10 +161,13 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 class _Tables:
     """Inertness classification and stable signatures for a fixed
     partition over its universe; on the final branching partition,
-    `dissolves` and `equivalent_fraction` answer inertness questions."""
+    `dissolves` and `equivalent_fraction` answer inertness questions.
+    `shapes` are the universe's shapes from _start_partition, kept for
+    the rooted step."""
 
-    def __init__(self, partition: Partition):
+    def __init__(self, partition: Partition, shapes: dict):
         self.partition = partition
+        self.shapes = shapes
         self.inert: dict = {}
         self.unstable: set = set()
         self.stabsig_state: dict = {}
@@ -341,21 +348,27 @@ def _pool(check, ctx, members) -> tuple:
     return pool, mids
 
 
-def _profiles(check, ctx, members: list) -> dict:
+def _profiles(check, ctx, members: list, shapes: dict) -> dict:
     """Group members by the (challenge, mid) combinations of their pool
     they can answer: {(mid, answered): [member, ...]}.  A single member
-    is its own group: no LP is solved for it."""
+    is its own group: no LP is solved for it.  Members of one shape are
+    bisimilar, so only the first member of each shape is profiled and
+    the others take its profile."""
     if len(members) == 1:
         return {None: list(members)}
-    pool, mids = _pool(check, ctx, members)
-    profiles: dict = {}
+    first: dict = {}
     for m in members:
-        answered = frozenset(
+        first.setdefault(shapes[m], m)
+    pool, mids = _pool(check, ctx, first.values())
+    profile = {
+        shape: (check.mid_of(ctx, m), frozenset(
             (action, end, mid)
             for action, end in pool for mid in mids
-            if check.respond(ctx, m, action, end, mid))
-        key = (check.mid_of(ctx, m), answered)
-        profiles.setdefault(key, []).append(m)
+            if check.respond(ctx, m, action, end, mid)))
+        for shape, m in first.items()}
+    profiles: dict = {}
+    for m in members:
+        profiles.setdefault(profile[shapes[m]], []).append(m)
     return profiles
 
 
@@ -374,23 +387,36 @@ def _split_action(check, ctx, one: NdTerm, other: NdTerm) -> list:
     return [pool[0][0].name] if pool else []
 
 
-def _start_partition(states) -> Partition:
-    """Classes of states with the same set of visible actions anywhere in
-    their derivatives.  Every step lowers complexity, so one bottom-up
-    pass sees each state after all of its targets."""
+def _start_partition(states) -> tuple:
+    """The start partition of refinement and the states' shapes.
+
+    The classes hold states with the same set of visible actions anywhere
+    in their derivatives.  A state's shape is an interned id of its
+    transitions, each read as its action and its target's mass per shape.
+    States of one shape have the same transitions up to states of one
+    shape, so they are strongly bisimilar, and bisimilar under all three
+    relations.  Every step lowers complexity, so one bottom-up pass sees
+    each state after all of its targets."""
     reach: dict = {}
+    shapes: dict = {}
+    ids: dict = {}
     for s in sorted(states, key=lambda s: (complexity(s), nd_key(s))):
         actions = set()
+        moves = set()
         for tr in nd_transitions(s):
             if not tr.action.is_tau:
                 actions.add(tr.action)
-            for t in tr.target.support:
+            masses: dict = {}
+            for t, m in tr.target.entries:
                 actions |= reach[t]
+                masses[shapes[t]] = masses.get(shapes[t], ZERO) + m
+            moves.add((tr.action, frozenset(masses.items())))
         reach[s] = frozenset(actions)
+        shapes[s] = ids.setdefault(frozenset(moves), len(ids))
     groups: dict = {}
     for s, actions in reach.items():
         groups.setdefault(actions, set()).add(s)
-    return partition_from_classes(groups.values())
+    return partition_from_classes(groups.values()), shapes
 
 
 def _refine(check, states: frozenset):
@@ -399,17 +425,18 @@ def _refine(check, states: frozenset):
 
     Per round, each class collects its members' challenges (action plus
     required continuation signature) and mid signatures, and every member
-    is profiled by which (challenge, mid) combinations it can answer.
-    Members with identical profiles stay together.  A state always
-    answers its own challenges, so equal profiles imply the mutual
-    transfer condition; grouping by profile is order-independent.
+    is profiled by which (challenge, mid) combinations it can answer,
+    one member per shape.  Members with identical profiles stay
+    together.  A state always answers its own challenges, so equal
+    profiles imply the mutual transfer condition; grouping by profile is
+    order-independent.
     """
-    partition = _start_partition(states)
+    partition, shapes = _start_partition(states)
     while True:
-        ctx = check.context(partition)
+        ctx = check.context(partition, shapes)
         new_classes = []
         for cls in partition.classes:
-            profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
+            profiles = _profiles(check, ctx, sorted(cls, key=nd_key), shapes)
             new_classes.extend(frozenset(g) for g in profiles.values())
         if len(new_classes) == len(partition.classes):
             return partition, ctx
@@ -417,8 +444,8 @@ def _refine(check, states: frozenset):
 
 
 class _BranchingCheck:
-    def context(self, partition: Partition) -> _Tables:
-        return _Tables(partition)
+    def context(self, partition: Partition, shapes: dict) -> _Tables:
+        return _Tables(partition, shapes)
 
     def challenge_sig(self, tables: _Tables, target: Distribution):
         return tables.stab_sig(target)
@@ -490,7 +517,7 @@ class _StrongCheck:
     def __init__(self, signature=Partition.sig):
         self.signature = signature
 
-    def context(self, partition: Partition):
+    def context(self, partition: Partition, shapes: dict):
         return partition
 
     def challenge_sig(self, ctx, target: Distribution):
@@ -573,15 +600,17 @@ def rooted_partition_over(tables: _Tables,
     """Rooted-branching state classes restricted to the given states.
 
     Rooted refines branching, so members of each branching class are
-    grouped by the set of first-step challenges they can answer; a state
-    answers its own challenges, so equal profiles give mutual matching.
+    grouped by the set of first-step challenges they can answer, one
+    member per shape; a state answers its own challenges, so equal
+    profiles give mutual matching.
     """
     by_class: dict = {}
     for s in sorted(set(states), key=nd_key):
         by_class.setdefault(tables.partition.class_of(s), []).append(s)
     groups = []
     for members in by_class.values():
-        groups.extend(_profiles(_ROOTED_CHECK, tables, members).values())
+        groups.extend(
+            _profiles(_ROOTED_CHECK, tables, members, tables.shapes).values())
     return partition_from_classes(groups)
 
 
@@ -656,15 +685,17 @@ def is_rigid(state: NdTerm) -> bool:
 def is_concrete(p) -> bool:
     """No derivative can perform an even partially inert silent
     transition: every silent move has equivalent fraction 0.  An inert
-    move, which needs no LP to see, already fails."""
+    move, which needs no LP to see, already fails.  The states are read
+    in nd_key order, so the LPs solved before a failure do not depend on
+    the hash seed."""
     states = derivatives(p if isinstance(p, PTerm) else Dirac(p))
     tables = branching_analysis(states)
     return all(
         not tables.dissolves(state, tr.target)
         and tables.equivalent_fraction(
             tr.target, tables.stabsig_state[state]) == ZERO
-        for state in states for tr in nd_transitions(state)
-        if tr.action.is_tau)
+        for state in sorted(states, key=nd_key)
+        for tr in nd_transitions(state) if tr.action.is_tau)
 
 
 def sqsubseteq(state: NdTerm, p: PTerm) -> bool:

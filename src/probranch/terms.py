@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .rat import ZERO, ONE, is_rat
+from .rat import is_rat
 
 _ACTION_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -156,8 +156,8 @@ class PChoice(PTerm):
     __hash__ = hash_once
 
     def __post_init__(self):
-        w = self.weight
-        if not is_rat(w) or not (ZERO < w < ONE):
+        w = self.weight  # in lowest terms with a positive denominator
+        if not is_rat(w) or not 0 < w.numerator < w.denominator:
             raise ValueError(f"probabilistic choice weight must be in (0,1): {w!r}")
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from probranch.equivalence import (
     _ROOTED_CHECK,
     _BranchingCheck,
     _StrongCheck,
-    _profiles,
+    _pool,
     _start_partition,
     branching_analysis,
     check,
@@ -437,17 +437,54 @@ def test_random_roundtrip_parse_print():
 
 
 def _refine_from_one_class(check, roots):
-    """The refinement loop started from one class that holds every
-    state: the oracle for the decider's start partition."""
+    """The refinement loop started from one class that holds every state
+    and profiling every member of every class: the oracle for the
+    decider's start partition and shapes.  Its context gives each state
+    a shape of its own."""
     states = frozenset().union(*(derivatives(r) for r in roots))
+    own = {s: k for k, s in enumerate(sorted(states, key=nd_key))}
     partition = partition_from_classes([states])
     while True:
-        ctx = check.context(partition)
-        groups = [group for cls in partition.classes for group in
-                  _profiles(check, ctx, sorted(cls, key=nd_key)).values()]
+        ctx = check.context(partition, own)
+        groups = []
+        for cls in partition.classes:
+            members = sorted(cls, key=nd_key)
+            pool, mids = _pool(check, ctx, members)
+            profiles = {}
+            for m in members:
+                key = (check.mid_of(ctx, m), frozenset(
+                    (action, end, mid) for action, end in pool for mid in mids
+                    if check.respond(ctx, m, action, end, mid)))
+                profiles.setdefault(key, []).append(m)
+            groups.extend(profiles.values())
         if len(groups) == len(partition.classes):
             return partition, ctx
         partition = partition_from_classes(groups)
+
+
+def _variant(term, axiom):
+    """The term rewritten by one axiom at every node where it applies:
+    A1 swaps the operands of every sum, A2 re-associates every
+    left-nested sum to the right, and P1 swaps the operands of every
+    probabilistic choice.  Every state of the copy has the shape of the
+    state it copies."""
+    if isinstance(term, Sum):
+        left, right = term.left, term.right
+        if axiom == "A1":
+            return Sum(_variant(right, axiom), _variant(left, axiom))
+        if axiom == "A2" and isinstance(left, Sum):
+            return _variant(Sum(left.left, Sum(left.right, right)), axiom)
+        return Sum(_variant(left, axiom), _variant(right, axiom))
+    if isinstance(term, PChoice):
+        left, right = _variant(term.left, axiom), _variant(term.right, axiom)
+        if axiom == "P1":
+            return PChoice(right, ONE - term.weight, left)
+        return PChoice(left, term.weight, right)
+    if isinstance(term, Prefix):
+        return Prefix(term.action, _variant(term.body, axiom))
+    if isinstance(term, Dirac):
+        return Dirac(_variant(term.body, axiom))
+    return term
 
 
 def _tau_heavy_root_sets(count):
@@ -476,13 +513,20 @@ def _tau_heavy_root_sets(count):
 
 
 def test_start_partition_gives_the_one_class_fixpoint():
-    """Refinement from the reachable-visible-action classes ends at the
-    same strong partition, and the same branching partition and tables,
-    as refinement from one class; and every final class lies inside one
-    start class."""
-    for roots in _tau_heavy_root_sets(96):
+    """Refinement from the reachable-visible-action classes, profiling
+    one member per shape, ends at the same strong partition, and the
+    same branching partition and tables, as refinement from one class
+    that profiles every member.  The roots come with A1, A2 and P1
+    copies, so that distinct states share shapes.  Every final class
+    lies inside one start class, and every shape inside one strong
+    class."""
+    shared = 0
+    for k, roots in enumerate(_tau_heavy_root_sets(96)):
+        axiom = ("A1", "A2", "P1")[k % 3]
+        roots = roots | {_variant(r, axiom) for r in roots}
         states = frozenset().union(*(derivatives(r) for r in roots))
-        start = _start_partition(states)
+        start, shapes = _start_partition(states)
+        shared += len(states) - len(set(shapes.values()))
         strong, _ = _refine_from_one_class(_StrongCheck(), roots)
         assert equivalence.strong_partition(roots) == strong, roots
         partition, tables = _refine_from_one_class(_BranchingCheck(), roots)
@@ -492,6 +536,11 @@ def test_start_partition_gives_the_one_class_fixpoint():
         assert final.stabsig_state == tables.stabsig_state, roots
         for cls in strong.classes + partition.classes:
             assert len({start.index_of(s) for s in cls}) == 1, (roots, cls)
+        by_shape = {}
+        for s in states:
+            by_shape.setdefault(shapes[s], set()).add(strong.index_of(s))
+        assert all(len(ks) == 1 for ks in by_shape.values()), roots
+    assert shared > 150, shared
 
 
 def test_start_partition_solves_fewer_lps(monkeypatch):
@@ -679,7 +728,8 @@ def test_inertness_rigid_concrete_match_flow_oracle():
     root_sets += list(_partially_inert_root_sets(32))
     kinds = {INERT: 0, PARTIALLY_INERT: 0, NEITHER: 0}
     for roots in root_sets:
-        tables = equivalence._Tables(branching_analysis(roots).partition)
+        final = branching_analysis(roots)
+        tables = equivalence._Tables(final.partition, final.shapes)
         seen = {}
         for state in tables.partition.universe:
             seen[state] = set()

@@ -1,11 +1,17 @@
+from collections import Counter
+
 import pytest
 
-from probranch.dist import den, dirac, distribution, mix
+from probranch.dist import den, derivatives, dirac, distribution, mix
 from probranch.equivalence import (
     INERT,
     NEITHER,
     PARTIALLY_INERT,
     ArgumentError,
+    _pool,
+    _profiles,
+    _start_partition,
+    _StrongCheck,
     branching_analysis,
     branching_equiv,
     check,
@@ -20,7 +26,7 @@ from probranch.equivalence import (
 from probranch.parse import parse_nd, parse_p
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
-from probranch.terms import TAU, ZERO_TERM
+from probranch.terms import TAU, ZERO_TERM, nd_key
 
 
 def nd(s):
@@ -36,6 +42,34 @@ def same_class(partition, e, f):
 
 
 # ---------------------------------------------------------------- strong
+
+
+def test_profiles_ask_one_member_per_shape():
+    """Members of one shape share a profile: `respond` is asked about the
+    first member of each shape only, once per question."""
+    members = sorted(map(nd, [
+        "a.D(b.D(0) + c.D(0))", "a.D(c.D(0) + b.D(0))",
+        "a.D(b.D(0) + c.D(0)) + a.D(c.D(0) + b.D(0))",
+        "a.D(b.D(0)) + a.D(c.D(0))", "a.D(c.D(0)) + a.D(b.D(0))"]),
+        key=nd_key)
+    partition, shapes = _start_partition(
+        frozenset().union(*map(derivatives, members)))
+    first = {}
+    for m in members:
+        first.setdefault(shapes[m], m)
+    assert len(first) == 2
+    asked = Counter()
+
+    class Counting(_StrongCheck):
+        def respond(self, ctx, state, *question):
+            asked[state] += 1
+            return super().respond(ctx, state, *question)
+
+    groups = _profiles(Counting(), partition, members, shapes)
+    pool, mids = _pool(_StrongCheck(), partition, members)
+    assert asked == {m: len(pool) * len(mids) for m in first.values()}
+    assert sorted(map(len, groups.values())) == [2, 3]
+    assert all(len({shapes[m] for m in g}) == 1 for g in groups.values())
 
 
 def test_strong_idempotent_sum():

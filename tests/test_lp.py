@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import probranch
 from probranch import lp as lp_module
 from probranch.equivalence import check, is_concrete
 from probranch.harness import GenConfig, gen_nd
@@ -381,6 +386,47 @@ def test_engine_matches_dense_oracle_on_recorded_lps(monkeypatch):
         assert got == want, (lp._rows, objective)
         feasible += got is not None
     assert 0 < feasible < len(recorded)
+
+
+_CONCRETE_LPS = """
+from probranch.equivalence import _branching_analysis, is_concrete
+from probranch.harness import GenConfig, gen_nd
+from probranch.lp import LP
+from probranch.rat import rat
+from probranch.terms import TAU, Dirac, Prefix, Sum
+
+solves = [0]
+minimize = LP.minimize
+
+def counted(lp, objective):
+    solves[0] += 1
+    return minimize(lp, objective)
+
+LP.minimize = counted
+counts = []
+for seed in range(12):
+    e = gen_nd(GenConfig(seed=seed, max_complexity=6, actions=("a", "b"),
+                         tau_bias=rat(1, 3)))
+    _branching_analysis.cache_clear()
+    solves[0] = 0
+    is_concrete(Dirac(Sum(e, Prefix(TAU, Dirac(e)))))
+    counts.append(solves[0])
+print(counts)
+"""
+
+
+def test_is_concrete_solves_as_many_lps_under_any_hash_seed():
+    """On the is_concrete states of _recorded_lps, each with a cold
+    analysis, the LP count is the same under hash seeds 0 and 1."""
+    src = str(Path(probranch.__file__).resolve().parents[1])
+    counts = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", _CONCRETE_LPS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        counts.append(done.stdout)
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

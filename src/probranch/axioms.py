@@ -342,7 +342,13 @@ def apply_axiom(term, step: RewriteStep):
 
 
 # ---------------------------------------------------------------------------
-# Step-emitting rewriter and the chain/spine toolkits
+# Step-emitting rewriter and the list toolkit
+#
+# Sums and choices are both lists, under the same three laws: A1-A3 for
+# + and P1-P3 for +[r].  A canonical sum nests to the left,
+# (e0 + e1) + e2, and a canonical choice nests to the right,
+# p0 +[r] (p1 +[s] p2).  A _ListSort describes one of the two, and one
+# toolkit edits either kind of list by reading it.
 
 
 class _Budget:
@@ -371,8 +377,6 @@ class _Rewriter:
         return get_subterm(self.term, position)
 
     def apply(self, axiom: AxiomId, position, direction: str, sub: dict):
-        if axiom == AxiomId.P2:
-            sub = _p2_derived(sub)
         step = RewriteStep(axiom, tuple(position), direction,
                            tuple(sorted(sub.items())),
                            _side_condition_witness(axiom, sub))
@@ -401,131 +405,152 @@ def invert_steps(steps):
     return flipped
 
 
-# -- non-deterministic chains (left-nested sums)
+@dataclass(frozen=True)
+class _ListSort:
+    """One sort of list: its node type, the child (0 left, 1 right) the
+    rest of the list nests in, the order its elements sort by, and its
+    four node steps, each applied at the position of a node:
+
+        commute     A1 / P1 LR  swap the node's two children
+        rotate_out  A2 / P2 LR  move the nesting off the nest side
+        rotate_in   A2 / P2 RL  move the nesting onto the nest side
+        merge       A3 / P3 LR  fold a node whose children are equal
+    """
+    node: type
+    nest: int
+    key: object
+    commute: object
+    rotate_out: object
+    rotate_in: object
+    merge: object
 
 
-def _left_assoc(rw: _Rewriter, pos):
-    """Reassociate the sum at pos into left-nested form."""
-    while True:
-        node = rw.at(pos)
-        if not isinstance(node, Sum):
-            return
-        while isinstance(rw.at(pos).right, Sum):
-            node = rw.at(pos)
-            rw.apply(AxiomId.A2, pos, "RL", {
-                "E": node.left, "F": node.right.left, "G": node.right.right})
-        pos = list(pos) + [0]
+def _node_step(axiom: AxiomId, direction: str, sub_of):
+    """The step at a position, its substitution read off the node there."""
+    return lambda rw, pos: rw.apply(axiom, pos, direction, sub_of(rw.at(pos)))
 
 
-def _right_assoc_nd(rw: _Rewriter, pos):
-    """Reassociate the sum at pos into right-nested form."""
-    while isinstance(rw.at(pos), Sum) and isinstance(rw.at(pos).left, Sum):
-        node = rw.at(pos)
-        rw.apply(AxiomId.A2, pos, "LR", {
-            "E": node.left.left, "F": node.left.right, "G": node.right})
-    node = rw.at(pos)
-    if isinstance(node, Sum):
-        _right_assoc_nd(rw, list(pos) + [1])
+_SUMS = _ListSort(
+    Sum, 0, nd_key,
+    commute=_node_step(AxiomId.A1, "LR",
+                       lambda n: {"E": n.left, "F": n.right}),
+    rotate_out=_node_step(AxiomId.A2, "LR", lambda n: {
+        "E": n.left.left, "F": n.left.right, "G": n.right}),
+    rotate_in=_node_step(AxiomId.A2, "RL", lambda n: {
+        "E": n.left, "F": n.right.left, "G": n.right.right}),
+    merge=_node_step(AxiomId.A3, "LR", lambda n: {"E": n.left}))
+
+_CHOICES = _ListSort(
+    PChoice, 1, p_key,
+    commute=_node_step(AxiomId.P1, "LR", lambda n: {
+        "P": n.left, "Q": n.right, "r": n.weight}),
+    rotate_out=_node_step(AxiomId.P2, "LR", lambda n: {
+        "P": n.left, "Q": n.right.left, "R": n.right.right,
+        "r": n.weight, "s": n.right.weight}),
+    rotate_in=_node_step(AxiomId.P2, "RL", lambda n: {
+        "P": n.left.left, "Q": n.left.right, "R": n.right,
+        "rbar": n.left.weight, "sbar": n.weight}),
+    merge=_node_step(AxiomId.P3, "LR",
+                     lambda n: {"P": n.left, "r": n.weight}))
 
 
-def _chain_node_pos(base, n: int, j: int) -> list:
-    """Position of the sum node whose right child is element j (1<=j<n)
-    of a left-nested n-element chain."""
-    return list(base) + [0] * (n - 1 - j)
+def _child(node, side: int):
+    return node.right if side else node.left
 
 
-def _chain_elem_pos(base, n: int, j: int) -> list:
-    """Position of element j (0-based) of a left-nested n-element chain."""
-    if n == 1:
-        return list(base)
-    if j == 0:
-        return list(base) + [0] * (n - 1)
-    return list(base) + [0] * (n - 1 - j) + [1]
+def _items(sort: _ListSort, term) -> list:
+    """The elements of the canonical list at term, first to last."""
+    out = []
+    while isinstance(term, sort.node):
+        out.append(_child(term, 1 - sort.nest))
+        term = _child(term, sort.nest)
+    out.append(term)
+    return out if sort.nest else out[::-1]
 
 
-def _chain_swap(rw: _Rewriter, base, n: int, i: int):
-    """Swap chain elements i and i+1 (0-based) in a left-nested chain."""
-    node_pos = _chain_node_pos(base, n, i + 1)
-    node = rw.at(node_pos)
-    if i == 0:
-        rw.apply(AxiomId.A1, node_pos, "LR",
-                 {"E": node.left, "F": node.right})
+def _elem_pos(sort: _ListSort, base, n: int, i: int) -> list:
+    """Position of element i of the canonical n-element list at base."""
+    depth = i if sort.nest else n - 1 - i
+    leaf = [] if depth == n - 1 else [1 - sort.nest]
+    return list(base) + [sort.nest] * depth + leaf
+
+
+def _pair_pos(sort: _ListSort, base, n: int, i: int):
+    """(position, innermost) of the node of the canonical n-element list
+    at base that holds elements i and i+1; innermost when both are its
+    children."""
+    depth = i if sort.nest else n - 2 - i
+    return list(base) + [sort.nest] * depth, depth == n - 2
+
+
+def _swap(rw: _Rewriter, sort: _ListSort, base, n: int, i: int):
+    """Swap elements i and i+1 of the canonical n-element list at base."""
+    pos, innermost = _pair_pos(sort, base, n, i)
+    if innermost:
+        sort.commute(rw, pos)
         return
-    rw.apply(AxiomId.A2, node_pos, "LR", {
-        "E": node.left.left, "F": node.left.right, "G": node.right})
-    inner = rw.at(list(node_pos) + [1])
-    rw.apply(AxiomId.A1, list(node_pos) + [1], "LR",
-             {"E": inner.left, "F": inner.right})
-    node = rw.at(node_pos)
-    rw.apply(AxiomId.A2, node_pos, "RL", {
-        "E": node.left, "F": node.right.left, "G": node.right.right})
+    sort.rotate_out(rw, pos)
+    sort.commute(rw, pos + [1 - sort.nest])
+    sort.rotate_in(rw, pos)
 
 
-def _move(swap, rw: _Rewriter, base, n: int, src: int, dst: int):
-    """Move element src of an n-element chain or spine to index dst by
-    adjacent swaps; swap(rw, base, n, i) exchanges elements i and i+1."""
-    i = src
-    while i > dst:
-        swap(rw, base, n, i - 1)
-        i -= 1
-    while i < dst:
-        swap(rw, base, n, i)
-        i += 1
-
-
-def _bubble_sort(swap, items_of, key, rw: _Rewriter, base):
-    """Sort the chain or spine at base by adjacent swaps (bubble sort, so
-    the swap sequence is deterministic)."""
-    n = len(items_of(rw.at(base)))
-    for end in range(n - 1, 0, -1):
-        for i in range(end):
-            items = items_of(rw.at(base))
-            if key(items[i]) > key(items[i + 1]):
-                swap(rw, base, n, i)
-
-
-def _chain_dedupe(rw: _Rewriter, base):
-    """Merge adjacent equal elements (A3) of a sorted chain."""
+def _merge_equal(rw: _Rewriter, sort: _ListSort, base):
+    """Merge adjacent equal elements (A3 or P3) of the canonical list at
+    base."""
     while True:
-        items = summands(rw.at(base))
-        n = len(items)
-        hit = next((i for i in range(n - 1) if items[i] == items[i + 1]), None)
+        items = _items(sort, rw.at(base))
+        hit = next((i for i in range(len(items) - 1)
+                    if items[i] == items[i + 1]), None)
         if hit is None:
             return
-        node_pos = _chain_node_pos(base, n, hit + 1)
-        node = rw.at(node_pos)
-        if hit == 0:
-            rw.apply(AxiomId.A3, node_pos, "LR", {"E": node.left})
-        else:
-            rw.apply(AxiomId.A2, node_pos, "LR", {
-                "E": node.left.left, "F": node.left.right, "G": node.right})
-            rw.apply(AxiomId.A3, list(node_pos) + [1], "LR",
-                     {"E": node.left.right})
+        pos, innermost = _pair_pos(sort, base, len(items), hit)
+        if not innermost:
+            sort.rotate_out(rw, pos)
+            pos.append(1 - sort.nest)
+        sort.merge(rw, pos)
+
+
+def _reassociate(rw: _Rewriter, sort: _ListSort, pos, side=None):
+    """Nest the list at pos in child `side` (by default its sort's nest
+    side): rotate each node until its other child is an element, then
+    go down the nesting."""
+    side = sort.nest if side is None else side
+    rotate = sort.rotate_in if side == sort.nest else sort.rotate_out
+    pos = list(pos)
+    while isinstance(rw.at(pos), sort.node):
+        while isinstance(_child(rw.at(pos), 1 - side), sort.node):
+            rotate(rw, pos)
+        pos.append(side)
+
+
+def _move(rw: _Rewriter, sort: _ListSort, base, src: int, dst: int):
+    """Move element src of the canonical list at base to index dst by
+    adjacent swaps."""
+    n = len(_items(sort, rw.at(base)))
+    for i in range(src, dst, -1):
+        _swap(rw, sort, base, n, i - 1)
+    for i in range(src, dst):
+        _swap(rw, sort, base, n, i)
+
+
+def _bubble_sort(rw: _Rewriter, sort: _ListSort, base):
+    """Sort the canonical list at base by adjacent swaps (bubble sort, so
+    the swap sequence is deterministic)."""
+    n = len(_items(sort, rw.at(base)))
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            items = _items(sort, rw.at(base))
+            if sort.key(items[i]) > sort.key(items[i + 1]):
+                _swap(rw, sort, base, n, i)
 
 
 def _chain_drop_zeros(rw: _Rewriter, base):
-    """Remove 0 summands from a sorted deduplicated chain (0 sorts first)."""
-    items = summands(rw.at(base))
-    n = len(items)
-    if n >= 2 and isinstance(items[0], Zero):
-        node_pos = _chain_node_pos(base, n, 1)
-        node = rw.at(node_pos)
-        rw.apply(AxiomId.A1, node_pos, "LR", {"E": node.left, "F": node.right})
-        node = rw.at(node_pos)
-        rw.apply(AxiomId.A4, node_pos, "LR", {"E": node.left})
-
-
-# -- probabilistic spines (right-nested choices)
-
-
-def _spine_items(term) -> list:
-    out = []
-    node = term
-    while isinstance(node, PChoice):
-        out.append(node.left)
-        node = node.right
-    out.append(node)
-    return out
+    """Remove the 0 summand of a sorted merged chain (0 sorts first)."""
+    items = _items(_SUMS, rw.at(base))
+    if len(items) >= 2 and isinstance(items[0], Zero):
+        pos, _ = _pair_pos(_SUMS, base, len(items), 0)
+        _SUMS.commute(rw, pos)
+        rw.apply(AxiomId.A4, pos, "LR", {"E": rw.at(pos).left})
 
 
 def _spine_weights(term) -> list:
@@ -541,115 +566,36 @@ def _spine_weights(term) -> list:
     return out
 
 
-def _right_assoc_p(rw: _Rewriter, pos):
-    """Reassociate the choice at pos into a right-nested spine."""
-    while isinstance(rw.at(pos), PChoice) and isinstance(rw.at(pos).left, PChoice):
-        node = rw.at(pos)
-        rw.apply(AxiomId.P2, pos, "RL", {
-            "P": node.left.left, "Q": node.left.right, "R": node.right,
-            "rbar": node.left.weight, "sbar": node.weight})
-    node = rw.at(pos)
-    if isinstance(node, PChoice):
-        _right_assoc_p(rw, list(pos) + [1])
-
-
-def _spine_node_pos(base, i: int) -> list:
-    return list(base) + [1] * i
-
-
-def _spine_elem_pos(base, n: int, i: int) -> list:
-    """Position of component i (0-based) of a right-nested n-spine."""
-    return _spine_node_pos(base, i) + ([0] if i < n - 1 else [])
-
-
-def _spine_swap(rw: _Rewriter, base, n: int, i: int):
-    """Swap spine components i and i+1 of a right-nested n-spine."""
-    node_pos = _spine_node_pos(base, i)
-    node = rw.at(node_pos)
-    if i + 1 == n - 1:  # both components are leaves of this node
-        rw.apply(AxiomId.P1, node_pos, "LR", {
-            "P": node.left, "Q": node.right, "r": node.weight})
-        return
-    rw.apply(AxiomId.P2, node_pos, "LR", {
-        "P": node.left, "Q": node.right.left, "R": node.right.right,
-        "r": node.weight, "s": node.right.weight})
-    node = rw.at(node_pos)
-    rw.apply(AxiomId.P1, list(node_pos) + [0], "LR", {
-        "P": node.left.left, "Q": node.left.right, "r": node.left.weight})
-    node = rw.at(node_pos)
-    rw.apply(AxiomId.P2, node_pos, "RL", {
-        "P": node.left.left, "Q": node.left.right, "R": node.right,
-        "rbar": node.left.weight, "sbar": node.weight})
-
-
-def _spine_merge(rw: _Rewriter, base):
-    """Merge adjacent equal components (P3) of a sorted spine."""
-    while True:
-        items = _spine_items(rw.at(base))
-        n = len(items)
-        if n < 2:
-            return
-        hit = next((i for i in range(n - 1) if items[i] == items[i + 1]), None)
-        if hit is None:
-            return
-        node_pos = _spine_node_pos(base, hit)
-        node = rw.at(node_pos)
-        if hit + 1 == n - 1:
-            rw.apply(AxiomId.P3, node_pos, "LR",
-                     {"P": node.left, "r": node.weight})
-        else:
-            rw.apply(AxiomId.P2, node_pos, "LR", {
-                "P": node.left, "Q": node.right.left, "R": node.right.right,
-                "r": node.weight, "s": node.right.weight})
-            node = rw.at(node_pos)
-            rw.apply(AxiomId.P3, list(node_pos) + [0], "LR", {
-                "P": node.left.left, "r": node.left.weight})
-
-
 # ---------------------------------------------------------------------------
 # Normalizers
 
 
-def _normalize_nd_at(rw: _Rewriter, pos):
+def _normalize_at(rw: _Rewriter, pos):
+    """Normalize the term at pos, deeply through prefix and Dirac bodies:
+    each sum and choice becomes its canonical list, sorted and merged,
+    and sums lose their 0 summands."""
     node = rw.at(pos)
+    if isinstance(node, (Prefix, Dirac)):
+        _normalize_at(rw, list(pos) + [0])
+        return
     if isinstance(node, Zero):
         return
-    if isinstance(node, Prefix):
-        _normalize_p_at(rw, list(pos) + [0])
-        return
-    _left_assoc(rw, pos)
-    n = len(summands(rw.at(pos)))
-    for j in range(n):
-        elem_pos = _chain_elem_pos(pos, n, j)
-        elem = rw.at(elem_pos)
-        if isinstance(elem, Prefix):
-            _normalize_p_at(rw, elem_pos + [0])
-    _bubble_sort(_chain_swap, summands, nd_key, rw, pos)
-    _chain_dedupe(rw, pos)
-    _chain_drop_zeros(rw, pos)
-
-
-def _normalize_p_at(rw: _Rewriter, pos):
-    node = rw.at(pos)
-    if isinstance(node, Dirac):
-        _normalize_nd_at(rw, list(pos) + [0])
-        return
-    _right_assoc_p(rw, pos)
-    n = len(_spine_items(rw.at(pos)))
+    sort = _SUMS if isinstance(node, Sum) else _CHOICES
+    _reassociate(rw, sort, pos)
+    n = len(_items(sort, rw.at(pos)))
     for i in range(n):
-        comp_pos = _spine_elem_pos(pos, n, i)
-        comp = rw.at(comp_pos)
-        if isinstance(comp, Dirac):
-            _normalize_nd_at(rw, comp_pos + [0])
-    _bubble_sort(_spine_swap, _spine_items, p_key, rw, pos)
-    _spine_merge(rw, pos)
+        _normalize_at(rw, _elem_pos(sort, pos, n, i))
+    _bubble_sort(rw, sort, pos)
+    _merge_equal(rw, sort, pos)
+    if sort is _SUMS:
+        _chain_drop_zeros(rw, pos)
 
 
 def normalize_nd(term: NdTerm, budget: int = 100000):
     """Canonical form under A1-A4: flattened, sorted, duplicate- and
     zero-free (deeply, through prefix bodies).  Returns (term, trace)."""
     rw = _Rewriter(term, _Budget(budget))
-    _normalize_nd_at(rw, [])
+    _normalize_at(rw, [])
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
 
 
@@ -659,13 +605,13 @@ def normalize_p(term: PTerm, budget: int = 100000):
     flat decomposition [(mass, state), ...] plus the trace."""
     spine, trace = canonical_pterm(term, budget)
     return tuple((w, comp.body) for w, comp in zip(
-        _spine_weights(spine), _spine_items(spine))), trace
+        _spine_weights(spine), _items(_CHOICES, spine))), trace
 
 
 def canonical_pterm(term: PTerm, budget: int = 100000):
     """The canonical spine itself plus its trace."""
     rw = _Rewriter(term, _Budget(budget))
-    _normalize_p_at(rw, [])
+    _normalize_at(rw, [])
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
 
 
@@ -697,12 +643,10 @@ def derived_simple_bp(variant: int, term, budget: int = 100000):
         rw.apply(AxiomId.P3, [0], "RL", {"P": shape.body, "r": half})
         rw.apply(AxiomId.BP, [], "LR",
                  {"alpha": alpha, "E": e, "P": p, "Q": shape.body, "r": half})
-        node = rw.at([0])
-        rw.apply(AxiomId.P1, [0], "LR",
-                 {"P": node.left, "Q": node.right, "r": node.weight})
+        _CHOICES.commute(rw, [0])
         rw.apply(AxiomId.BP, [], "LR",
                  {"alpha": alpha, "E": e, "P": p, "Q": p, "r": half})
-        rw.apply(AxiomId.P3, [0], "LR", {"P": p, "r": half})
+        _CHOICES.merge(rw, [0])
     elif variant == 2:
         shape = term
         if not (isinstance(shape, Prefix) and isinstance(shape.body, PChoice)
@@ -717,16 +661,11 @@ def derived_simple_bp(variant: int, term, budget: int = 100000):
                 and isinstance(shape.body.body, Prefix)
                 and shape.body.body.action.is_tau):
             raise ShapeError("expected a.D(tau.P)")
-        alpha = shape.action
-        p = shape.body.body.body
-        half = rat(1, 2)
-        rw.apply(AxiomId.P3, [0], "RL", {"P": shape.body, "r": half})
-        _sbp2_chain(rw, [], alpha)
-        node = rw.at([0])
-        rw.apply(AxiomId.P1, [0], "LR",
-                 {"P": node.left, "Q": node.right, "r": node.weight})
-        _sbp2_chain(rw, [], alpha)
-        rw.apply(AxiomId.P3, [0], "LR", {"P": p, "r": half})
+        rw.apply(AxiomId.P3, [0], "RL", {"P": shape.body, "r": rat(1, 2)})
+        _sbp2_chain(rw, [], shape.action)
+        _CHOICES.commute(rw, [0])
+        _sbp2_chain(rw, [], shape.action)
+        _CHOICES.merge(rw, [0])
     else:
         raise ValueError("variant must be 1, 2 or 3")
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
@@ -740,9 +679,7 @@ def _sbp2_chain(rw: _Rewriter, pos, alpha):
     r = shape.body.weight
     rest = shape.body.right
     rw.apply(AxiomId.A4, list(pos) + [0, 0, 0], "RL", {"E": tau_state})
-    node = rw.at(list(pos) + [0, 0, 0])
-    rw.apply(AxiomId.A1, list(pos) + [0, 0, 0], "LR",
-             {"E": node.left, "F": node.right})
+    _SUMS.commute(rw, list(pos) + [0, 0, 0])
     rw.apply(AxiomId.BP, pos, "LR",
              {"alpha": alpha, "E": ZERO_TERM, "P": p, "Q": rest, "r": r})
 
@@ -783,59 +720,31 @@ def _matched_bodies(weights, responder, action):
 
 
 # ---------------------------------------------------------------------------
-# Chain editing for the saturation proofs
+# C saturation of a whole-term chain
 
 
-class _ChainEditor:
-    """Summand-level editing of a whole-term chain with C saturation."""
+def _add_combo(rw: _Rewriter, action: Action, weighted_bodies):
+    """Add the summand action.(fold of the weighted bodies) to the chain
+    that rw holds, by one C application per further body, then take the
+    intermediate folds out again by C right to left."""
+    def to_front(*bodies):
+        for k, body in enumerate(bodies):
+            i = summands(rw.term).index(Prefix(action, body), k)
+            _move(rw, _SUMS, [], i, k)
 
-    def __init__(self, rw: _Rewriter):
-        self.rw = rw
-
-    def items(self):
-        return summands(self.rw.term)
-
-    def move(self, src: int, dst: int):
-        _move(_chain_swap, self.rw, [], len(self.items()), src, dst)
-
-    def build_combo(self, action: Action, weighted_bodies):
-        """Introduce the summand action.(fold of weighted bodies) by C
-        applications; returns (combo_body, fold_records)."""
-        (cur_body, cur_w), rest = weighted_bodies[0], weighted_bodies[1:]
-        records = []
-        for body, w in rest:
-            r = cur_w / (cur_w + w)
-            i = self.items().index(Prefix(action, cur_body))
-            self.move(i, 0)
-            j = self.items().index(Prefix(action, body), 1)
-            self.move(j, 1)
-            n = len(self.items())
-            self.rw.apply(AxiomId.C, [0] * (n - 2), "LR",
-                          {"alpha": action, "P": cur_body, "Q": body, "r": r})
-            records.append((cur_body, body, r))
-            cur_body = PChoice(cur_body, r, body)
-            cur_w = cur_w + w
-        return cur_body, records
-
-    def remove_intermediates(self, action: Action, records):
-        """Reverse the fold steps except the final combo (records must
-        exclude the last fold)."""
-        for left_body, right_body, r in reversed(records):
-            combo = PChoice(left_body, r, right_body)
-            i = self.items().index(Prefix(action, left_body))
-            self.move(i, 0)
-            j = self.items().index(Prefix(action, combo), 1)
-            self.move(j, 1)
-            k = self.items().index(Prefix(action, right_body), 2)
-            self.move(k, 2)
-            n = len(self.items())
-            self.rw.apply(AxiomId.C, [0] * (n - 3), "RL",
-                          {"alpha": action, "P": left_body, "Q": right_body,
-                           "r": r})
-
-    def rewrite_summand(self, index: int, steps):
-        n = len(self.items())
-        self.rw.splice(_chain_elem_pos([], n, index), steps)
+    (cur_body, cur_w), rest = weighted_bodies[0], weighted_bodies[1:]
+    folds = []
+    for body, w in rest:
+        r = cur_w / (cur_w + w)
+        to_front(cur_body, body)
+        rw.apply(AxiomId.C, [0] * (len(summands(rw.term)) - 2), "LR",
+                 {"alpha": action, "P": cur_body, "Q": body, "r": r})
+        folds.append((cur_body, body, r))
+        cur_body, cur_w = PChoice(cur_body, r, body), cur_w + w
+    for left, right, r in reversed(folds[:-1]):
+        to_front(left, PChoice(left, r, right), right)
+        rw.apply(AxiomId.C, [0] * (len(summands(rw.term)) - 3), "RL",
+                 {"alpha": action, "P": left, "Q": right, "r": r})
 
 
 def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
@@ -853,12 +762,9 @@ def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
     def group_key(body):
         return check.challenge_sig(ctx, den(body))
 
-    left = _ChainEditor(rw_left)
-    right = _ChainEditor(rw_right)
     term_left, term_right = rw_left.term, rw_right.term
-
-    for challenger, responder, editor in (
-            (term_left, term_right, right), (term_right, term_left, left)):
+    for challenger, responder, rw in ((term_left, term_right, rw_right),
+                                      (term_right, term_left, rw_left)):
         for s in summands(challenger):
             if not isinstance(s, Prefix):
                 continue
@@ -868,13 +774,12 @@ def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
                 raise ValueError("transfer match vanished during proof search")
             match = _matched_bodies(weights, responder, s.action)
             if len(match) > 1:
-                _, records = editor.build_combo(s.action, match)
-                editor.remove_intermediates(s.action, records[:-1])
+                _add_combo(rw, s.action, match)
 
     # Canonical representative per (action, continuation class).
     reps: dict = {}
-    for editor in (left, right):
-        for s in editor.items():
+    for rw in (rw_left, rw_right):
+        for s in summands(rw.term):
             if not isinstance(s, Prefix):
                 continue
             key = (s.action, group_key(s.body))
@@ -882,19 +787,17 @@ def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
             if cur is None or (complexity(s.body), p_key(s.body)) < (
                     complexity(cur), p_key(cur)):
                 reps[key] = s.body
-    for editor in (left, right):
-        idx = 0
-        while idx < len(editor.items()):
-            s = editor.items()[idx]
+    for rw in (rw_left, rw_right):
+        items = summands(rw.term)
+        for i, s in enumerate(items):
             if isinstance(s, Prefix):
                 rep = reps[(s.action, group_key(s.body))]
                 if s.body != rep:
-                    editor.rewrite_summand(
-                        idx, prefix_prover(s.action, s.body, rep))
-            idx += 1
+                    rw.splice(_elem_pos(_SUMS, [], len(items), i),
+                              prefix_prover(s.action, s.body, rep))
 
-    _normalize_nd_at(rw_left, [])
-    _normalize_nd_at(rw_right, [])
+    _normalize_at(rw_left, [])
+    _normalize_at(rw_right, [])
     if rw_left.term != rw_right.term:
         raise ValueError("saturation did not converge to a common form")
 
@@ -932,9 +835,9 @@ class _Prover:
         if key in self._state_memo:
             return list(self._state_memo[key])
         rw_e = _Rewriter(e, self.budget)
-        _normalize_nd_at(rw_e, [])
+        _normalize_at(rw_e, [])
         rw_f = _Rewriter(f, self.budget)
-        _normalize_nd_at(rw_f, [])
+        _normalize_at(rw_f, [])
         if rw_e.term != rw_f.term:
             check, ctx = matching(frozenset({e, f, rw_e.term, rw_f.term}))
             _saturate_and_pair(rw_e, rw_f, check, ctx, prefix_prover)
@@ -952,12 +855,12 @@ class _Prover:
         if key in self._pterm_memo:
             return list(self._pterm_memo[key])
         rw_p = _Rewriter(p, self.budget)
-        _normalize_p_at(rw_p, [])
+        _normalize_at(rw_p, [])
         rw_q = _Rewriter(q, self.budget)
-        _normalize_p_at(rw_q, [])
+        _normalize_at(rw_q, [])
         if rw_p.term != rw_q.term:
             comps = [c.body for rw in (rw_p, rw_q)
-                     for c in _spine_items(rw.term)]
+                     for c in _items(_CHOICES, rw.term)]
             partition = partition_of(frozenset(comps))
             reps: dict = {}
             for state in comps:
@@ -967,15 +870,14 @@ class _Prover:
                         complexity(cur), nd_key(cur)):
                     reps[cls] = state
             for rw in (rw_p, rw_q):
-                spine = _spine_items(rw.term)
-                n = len(spine)
+                spine = _items(_CHOICES, rw.term)
                 for i, comp in enumerate(spine):
                     rep = reps[partition.class_of(comp.body)]
                     if comp.body != rep:
-                        rw.splice(_spine_elem_pos([], n, i) + [0],
+                        rw.splice(_elem_pos(_CHOICES, [], len(spine), i) + [0],
                                   prove_states(comp.body, rep))
-                _bubble_sort(_spine_swap, _spine_items, p_key, rw, [])
-                _spine_merge(rw, [])
+                _bubble_sort(rw, _CHOICES, [])
+                _merge_equal(rw, _CHOICES, [])
             if rw_p.term != rw_q.term:
                 raise ValueError("component matching failed")
         steps = rw_p.steps + invert_steps(rw_q.steps)
@@ -1000,36 +902,33 @@ class _Prover:
             steps, pbar = self._conc_memo[key]
             return list(steps), pbar
         rw = _Rewriter(Prefix(action, p), self.budget)
-        _normalize_p_at(rw, [0])
-        spine = _spine_items(rw.at([0]))
+        _normalize_at(rw, [0])
+        spine = _items(_CHOICES, rw.at([0]))
         if len(spine) == 1:
             self._conc_state_bare(rw, action)
         else:
-            pending = len(spine)
-            while pending:
-                _right_assoc_p(rw, [0])
-                m = len(_spine_items(rw.at([0])))
-                _move(_spine_swap, rw, [0], m, m - 1, 0)
+            for _ in range(len(spine)):
+                _reassociate(rw, _CHOICES, [0])
+                m = len(_items(_CHOICES, rw.at([0])))
+                _move(rw, _CHOICES, [0], m - 1, 0)
                 self._conc_state_front(rw, action)
-                pending -= 1
-            _right_assoc_p(rw, [0])
-            _bubble_sort(_spine_swap, _spine_items, p_key, rw, [0])
-            _spine_merge(rw, [0])
+            _reassociate(rw, _CHOICES, [0])
+            _bubble_sort(rw, _CHOICES, [0])
+            _merge_equal(rw, _CHOICES, [0])
         pbar = rw.term.body
         self._conc_memo[key] = (tuple(rw.steps), pbar)
         return rw.steps, pbar
 
     def _concretize_continuations(self, rw: _Rewriter, base) -> None:
         """Concretize every prefix body of the state chain at base."""
-        _left_assoc(rw, base)
+        _reassociate(rw, _SUMS, base)
         items = summands(rw.at(base))
-        n = len(items)
         for j, s in enumerate(items):
             if not isinstance(s, Prefix):
                 continue
             sub_steps, pbar = self.conc_prefix(s.action, s.body)
             if pbar != s.body:
-                rw.splice(_chain_elem_pos(base, n, j), sub_steps)
+                rw.splice(_elem_pos(_SUMS, base, len(items), j), sub_steps)
 
     def _find_inert_summand(self, items, state):
         """Index of a silent summand whose body dissolves the whole state,
@@ -1062,7 +961,7 @@ class _Prover:
         if isinstance(rw.at(base), Zero):
             return
         while True:
-            _left_assoc(rw, base)
+            _reassociate(rw, _SUMS, base)
             self._concretize_continuations(rw, base)
             state = rw.at(base)
             items = summands(state)
@@ -1075,7 +974,7 @@ class _Prover:
                     rw.apply(AxiomId.SBP2, [], "LR",
                              {"alpha": action, "P": body, "r": w, "R": rest})
                 else:
-                    _move(_chain_swap, rw, base, len(items), j, len(items) - 1)
+                    _move(rw, _SUMS, base, j, len(items) - 1)
                     h_term = rw.at(base + [0])
                     rw.apply(AxiomId.BP, [], "LR",
                              {"alpha": action, "E": h_term, "P": body,
@@ -1085,11 +984,10 @@ class _Prover:
             if found is None:
                 return  # state is concrete; component stays a Dirac
             j, cls = found
-            n = len(items)
-            body_pos = _chain_elem_pos(base, n, j) + [0]
+            body_pos = _elem_pos(_SUMS, base, len(items), j) + [0]
             self._reshape_partial(rw, body_pos, cls)
-            _move(_chain_swap, rw, base, n, j, 0)
-            _right_assoc_nd(rw, base)
+            _move(rw, _SUMS, base, j, 0)
+            _reassociate(rw, _SUMS, base, side=1)
             tau_summand = rw.at(base + [0])
             h_term = rw.at(base + [1])
             w = rw.at([0]).weight
@@ -1103,24 +1001,23 @@ class _Prover:
     def _reshape_partial(self, rw: _Rewriter, pos, cls):
         """Rewrite the choice spine at pos into D(F) (+r0) Rest, with F the
         canonical representative of the class-equivalent support part."""
-        _right_assoc_p(rw, pos)
-        spine = _spine_items(rw.at(pos))
+        _reassociate(rw, _CHOICES, pos)
+        spine = _items(_CHOICES, rw.at(pos))
         t_idx = [i for i, c in enumerate(spine) if c.body in cls]
         t_states = [spine[i].body for i in t_idx]
         rep = min(t_states, key=lambda s: (complexity(s), nd_key(s)))
-        n = len(spine)
         for i in t_idx:
-            comp = _spine_items(rw.at(pos))[i]
+            comp = _items(_CHOICES, rw.at(pos))[i]
             if comp.body != rep:
-                rw.splice(_spine_elem_pos(pos, n, i) + [0],
+                rw.splice(_elem_pos(_CHOICES, pos, len(spine), i) + [0],
                           self.strong(comp.body, rep))
         # bubble the equivalent copies to the front, then merge them
-        for front, i in enumerate(t_idx):
-            current = _spine_items(rw.at(pos))
+        for front in range(len(t_idx)):
+            current = _items(_CHOICES, rw.at(pos))
             src = next(k for k in range(front, len(current))
                        if current[k] == Dirac(rep))
-            _move(_spine_swap, rw, pos, len(current), src, front)
-        _spine_merge(rw, pos)
+            _move(rw, _CHOICES, pos, src, front)
+        _merge_equal(rw, _CHOICES, pos)
 
     def _conc_state_bare(self, rw: _Rewriter, action: Action):
         """Concretize body = D(E) directly under the prefix."""
@@ -1136,7 +1033,7 @@ class _Prover:
             if len(items) == 1:
                 rw.apply(AxiomId.SBP3, [], "LR", {"alpha": action, "P": body})
             else:
-                _move(_chain_swap, rw, base, len(items), j, len(items) - 1)
+                _move(rw, _SUMS, base, j, len(items) - 1)
                 h_term = rw.at(base + [0])
                 rw.apply(AxiomId.SBP1, [], "LR",
                          {"alpha": action, "E": h_term, "P": body})
@@ -1147,14 +1044,11 @@ class _Prover:
         half = rat(1, 2)
         rw.apply(AxiomId.P3, [0], "RL", {"P": rw.at([0]), "r": half})
         self._conc_state_front(rw, action)
-        node = rw.at([0])
-        rw.apply(AxiomId.P1, [0], "LR",
-                 {"P": node.left, "Q": node.right, "r": node.weight})
+        _CHOICES.commute(rw, [0])
         self._conc_state_front(rw, action)
-        node = rw.at([0])
-        if node.left != node.right:
+        if rw.at([0]).left != rw.at([0]).right:
             raise ValueError("sandwich halves diverged during concretization")
-        rw.apply(AxiomId.P3, [0], "LR", {"P": node.left, "r": node.weight})
+        _CHOICES.merge(rw, [0])
 
     # -- branching continuations under a prefix (prob-technical (c))
 
@@ -1178,16 +1072,16 @@ class _Prover:
         rw = _Rewriter(Prefix(action, Dirac(e)), self.budget)
         base = [0, 0]
         while True:
-            _normalize_nd_at(rw, base)
+            _normalize_at(rw, base)
             state = rw.at(base)
             if isinstance(state, Zero):
                 break
             items = summands(state)
-            n = len(items)
             for j, s in enumerate(items):
                 sub_steps, _ = self.conc_nd(s.action, s.body.body)
                 if sub_steps:
-                    rw.splice(_chain_elem_pos(base, n, j), sub_steps)
+                    rw.splice(_elem_pos(_SUMS, base, len(items), j),
+                              sub_steps)
             state = rw.at(base)
             items = summands(state)
             tables = branching_analysis({state})
@@ -1198,16 +1092,13 @@ class _Prover:
             if len(items) == 1:
                 inner = items[0].body.body  # E_i0
                 rw.apply(AxiomId.A4, base, "RL", {"E": state})
-                node = rw.at(base)
-                rw.apply(AxiomId.A1, base, "LR",
-                         {"E": node.left, "F": node.right})
+                _SUMS.commute(rw, base)
                 rw.splice(base + [1],
                           self._nd_prefix_eq(TAU, inner, Sum(inner, ZERO_TERM)))
                 rw.apply(AxiomId.B, [], "LR",
                          {"alpha": action, "E": inner, "F": ZERO_TERM})
             else:
-                _move(_chain_swap, rw, base, len(items), inert_j,
-                      len(items) - 1)
+                _move(rw, _SUMS, base, inert_j, len(items) - 1)
                 h_term = rw.at(base + [0])
                 inner = rw.at(base + [1]).body.body
                 rw.splice(base + [1],
@@ -1225,9 +1116,9 @@ class _Prover:
         s1, b1 = self.conc_nd(action, e1)
         s2, b2 = self.conc_nd(action, e2)
         rw1 = _Rewriter(Prefix(action, Dirac(b1)), self.budget)
-        _normalize_nd_at(rw1, [0, 0])
+        _normalize_at(rw1, [0, 0])
         rw2 = _Rewriter(Prefix(action, Dirac(b2)), self.budget)
-        _normalize_nd_at(rw2, [0, 0])
+        _normalize_at(rw2, [0, 0])
         if rw1.term != rw2.term:
             raise ValueError(
                 "concrete normal forms differ for branching-equivalent "

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -213,6 +214,133 @@ def test_normalize_p_idempotent():
     again, trace2 = canonical_pterm(canon)
     assert canon == again and not trace2.steps
     assert den(canon) == den(p)
+
+
+# ------------------------------------------------------------ list toolkit
+#
+# Sums and choices are edited by one toolkit over a _ListSort; every test
+# runs on both sorts, on lists inside a prefix so positions have a base.
+
+LIST_SORTS = pytest.mark.parametrize(
+    "sort", [axioms._SUMS, axioms._CHOICES], ids=["sums", "choices"])
+
+
+def _list_elements(sort, rng, n, names="abc"):
+    """n list elements over a few names, so that duplicates occur."""
+    leaves = [Prefix(Action(rng.choice(names)), Dirac(ZERO_TERM))
+              for _ in range(n)]
+    return leaves if sort is axioms._SUMS else [Dirac(x) for x in leaves]
+
+
+def _nest(sort, elems, rng, canonical=True):
+    """The list of elems in its sort's canonical nesting, or nested at
+    random split points; choice weights are drawn from rng."""
+    if len(elems) == 1:
+        return elems[0]
+    if canonical:
+        split = 1 if sort.nest else len(elems) - 1
+    else:
+        split = rng.randint(1, len(elems) - 1)
+    left = _nest(sort, elems[:split], rng, canonical)
+    right = _nest(sort, elems[split:], rng, canonical)
+    if sort is axioms._SUMS:
+        return Sum(left, right)
+    return PChoice(left, rat(rng.randint(1, 4), 5), right)
+
+
+def _in_context(sort, term):
+    """(term under a prefix, base position of the list)."""
+    if sort is axioms._SUMS:
+        return Prefix(Action("a"), Dirac(term)), [0, 0]
+    return Prefix(Action("a"), term), [0]
+
+
+def _rewriter(term):
+    return axioms._Rewriter(term, axioms._Budget(100000))
+
+
+def _canonical(sort, term):
+    return not any(isinstance(x, sort.node) for x in axioms._items(sort, term))
+
+
+@LIST_SORTS
+def test_list_positions_address_elements_and_pairs(sort):
+    rng = random.Random(1)
+    for _ in range(40):
+        items = _list_elements(sort, rng, rng.randint(1, 7))
+        n = len(items)
+        term, base = _in_context(sort, _nest(sort, items, rng))
+        assert axioms._items(sort, axioms.get_subterm(term, base)) == items
+        for i in range(n):
+            pos = axioms._elem_pos(sort, base, n, i)
+            assert axioms.get_subterm(term, pos) == items[i]
+        for i in range(n - 1):
+            pos, innermost = axioms._pair_pos(sort, base, n, i)
+            held = axioms._items(sort, axioms.get_subterm(term, pos))
+            assert held == (items[i:] if sort.nest else items[:i + 2])
+            assert innermost == (len(held) == 2)
+
+
+@LIST_SORTS
+def test_list_swap_exchanges_exactly_two_elements(sort):
+    rng = random.Random(2)
+    for _ in range(40):
+        items = _list_elements(sort, rng, rng.randint(2, 7))
+        i = rng.randrange(len(items) - 1)
+        term, base = _in_context(sort, _nest(sort, items, rng))
+        rw = _rewriter(term)
+        axioms._swap(rw, sort, base, len(items), i)
+        want = list(items)
+        want[i], want[i + 1] = want[i + 1], want[i]
+        assert axioms._items(sort, rw.at(base)) == want
+        assert _canonical(sort, rw.at(base))
+        assert ProofTrace(term, tuple(rw.steps), rw.term).replay() == rw.term
+
+
+@LIST_SORTS
+def test_list_merge_equal_removes_adjacent_duplicates(sort):
+    rng = random.Random(3)
+    for _ in range(40):
+        items = _list_elements(sort, rng, rng.randint(1, 7), names="ab")
+        term, base = _in_context(sort, _nest(sort, items, rng))
+        rw = _rewriter(term)
+        axioms._merge_equal(rw, sort, base)
+        want = [x for k, x in enumerate(items) if k == 0 or x != items[k - 1]]
+        assert axioms._items(sort, rw.at(base)) == want
+        assert _canonical(sort, rw.at(base))
+
+
+@LIST_SORTS
+def test_list_reassociate_gives_the_canonical_nesting(sort):
+    rng = random.Random(4)
+    for _ in range(40):
+        items = _list_elements(sort, rng, rng.randint(1, 7))
+        term, base = _in_context(
+            sort, _nest(sort, items, rng, canonical=False))
+        rw = _rewriter(term)
+        axioms._reassociate(rw, sort, base)
+        assert _canonical(sort, rw.at(base))
+        assert axioms._items(sort, rw.at(base)) == items
+        if sort is axioms._CHOICES:
+            assert den(rw.at(base)) == den(axioms.get_subterm(term, base))
+
+
+@LIST_SORTS
+def test_list_reassociate_300_elements_from_the_opposite_nesting(sort):
+    items = [Prefix(Action(f"a{k}"), Dirac(ZERO_TERM)) for k in range(300)]
+    if sort is axioms._SUMS:
+        term = reduce(lambda rest, x: Sum(x, rest), reversed(items[:-1]),
+                      items[-1])
+    else:
+        items = [Dirac(x) for x in items]
+        term = reduce(lambda acc, x: PChoice(acc, rat(1, 2), x), items[1:],
+                      items[0])
+    rw = _rewriter(term)
+    axioms._reassociate(rw, sort, [])
+    assert _canonical(sort, rw.term)
+    assert axioms._items(sort, rw.term) == items
+    # one rotation per node but the innermost
+    assert len(rw.steps) == 298
 
 
 # ---------------------------------------------------------- derived laws

@@ -824,20 +824,27 @@ class _Prover:
 
     # -- state and spine pairing, shared by strong and rooted completeness
 
-    def states(self, matching, prefix_prover, e: NdTerm, f: NdTerm) -> list:
-        """Steps for e = f: both chains are normalized, saturated against
-        each other with the check that `matching` gives (strong or
-        rooted) and each continuation group is closed by
-        `prefix_prover`."""
+    def normal_forms(self, a, b):
+        """Rewriters holding a and b, each normalized on the shared
+        budget.  Every pairing starts here; where the two forms meet,
+        their steps prove a = b by soundness alone."""
+        forms = (_Rewriter(a, self.budget), _Rewriter(b, self.budget))
+        for rw in forms:
+            _normalize_at(rw, [])
+        return forms
+
+    def states(self, matching, prefix_prover, e: NdTerm, f: NdTerm,
+               forms=None) -> list:
+        """Steps for e = f: both chains are normalized (or taken from
+        `forms`, as normal_forms gives them), saturated against each
+        other with the check that `matching` gives (strong or rooted)
+        and each continuation group is closed by `prefix_prover`."""
         if e == f:
             return []
         key = (matching, e, f)
         if key in self._state_memo:
             return list(self._state_memo[key])
-        rw_e = _Rewriter(e, self.budget)
-        _normalize_at(rw_e, [])
-        rw_f = _Rewriter(f, self.budget)
-        _normalize_at(rw_f, [])
+        rw_e, rw_f = forms or self.normal_forms(e, f)
         if rw_e.term != rw_f.term:
             check, ctx = matching(frozenset({e, f, rw_e.term, rw_f.term}))
             _saturate_and_pair(rw_e, rw_f, check, ctx, prefix_prover)
@@ -845,19 +852,18 @@ class _Prover:
         self._state_memo[key] = tuple(steps)
         return steps
 
-    def pterms(self, p: PTerm, q: PTerm, partition_of, prove_states) -> list:
-        """Steps for p = q: both spines are normalized, every component is
-        rewritten by `prove_states` onto the representative of its class
-        in partition_of(components), then the spines are merged."""
+    def pterms(self, p: PTerm, q: PTerm, partition_of, prove_states,
+               forms=None) -> list:
+        """Steps for p = q: both spines are normalized (or taken from
+        `forms`), every component is rewritten by `prove_states` onto the
+        representative of its class in partition_of(components), then
+        the spines are merged."""
         if p == q:
             return []
         key = (partition_of, p, q)
         if key in self._pterm_memo:
             return list(self._pterm_memo[key])
-        rw_p = _Rewriter(p, self.budget)
-        _normalize_at(rw_p, [])
-        rw_q = _Rewriter(q, self.budget)
-        _normalize_at(rw_q, [])
+        rw_p, rw_q = forms or self.normal_forms(p, q)
         if rw_p.term != rw_q.term:
             comps = [c.body for rw in (rw_p, rw_q)
                      for c in _items(_CHOICES, rw.term)]
@@ -1153,19 +1159,35 @@ def concretize_nd(e: NdTerm, budget: int = 100000):
 
 def prove_equal(left, right, budget: int = 100000):
     """A replayable equational proof of left = right, or the checker's
-    refutation verdict.  Exceeding the step budget raises
-    BudgetExceededError (a resource condition, never a verdict)."""
-    verdict = relation_check("rooted-branching", left, right)
-    if not verdict.equivalent:
-        return verdict
+    refutation verdict.
+
+    Both sides are normalized under A1-A4/P1-P3 first.  Forms that meet
+    prove the pair by soundness alone, and no decider runs.  Only forms
+    that differ are checked for rooted branching bisimilarity; an
+    equivalent pair then goes on to C saturation and concretization
+    from those same forms.  Exceeding the step budget raises
+    BudgetExceededError (a resource condition, never a verdict), except
+    that an inequivalent pair is refuted whatever the budget."""
     prover = _Prover(budget)
     if isinstance(left, NdTerm) and isinstance(right, NdTerm):
         start, end = left, right
-        steps = prover.rooted(left, right)
+        prove = prover.rooted
     else:
         start = left if isinstance(left, PTerm) else Dirac(left)
         end = right if isinstance(right, PTerm) else Dirac(right)
-        steps = prover.pterms(start, end, _rooted_classes, prover.rooted)
+        prove = partial(prover.pterms, partition_of=_rooted_classes,
+                        prove_states=prover.rooted)
+    forms = None
+    if start != end:
+        try:
+            forms = prover.normal_forms(start, end)
+        except BudgetExceededError:
+            pass  # refute below; an equivalent pair raises again in prove
+        if forms is None or forms[0].term != forms[1].term:
+            verdict = relation_check("rooted-branching", left, right)
+            if not verdict.equivalent:
+                return verdict
+    steps = prove(start, end, forms=forms)
     trace = ProofTrace(start, tuple(steps), end)
     trace.replay()
     return trace

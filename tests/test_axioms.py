@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from probranch import axioms
+from probranch import axioms, equivalence, lp
 from probranch.axioms import (
     AxiomId,
     BudgetExceededError,
@@ -31,7 +31,7 @@ from probranch.equivalence import (
     is_concrete,
     rooted_branching_equiv,
 )
-from probranch.harness import GenConfig, gen_nd
+from probranch.harness import GenConfig, gen_nd, random_equivalent_pair
 from probranch.parse import parse_nd, parse_p, print_term
 from probranch.rat import rat
 from probranch.terms import (
@@ -563,6 +563,96 @@ def test_prove_equal_budget():
     t0 = nd("a.(D(b.D(0)) +[1/2] D(c.D(0)))")
     with pytest.raises(BudgetExceededError):
         prove_equal(s0, t0, budget=3)
+
+
+# ------------------------------------------ normal forms before the decider
+
+
+def _decider_calls(monkeypatch):
+    """A list that grows by one entry per LP solve and per partition
+    refinement, the two ways into the decider.  The analysis caches are
+    emptied first, so no refinement hides behind an earlier test's."""
+    equivalence._branching_analysis.cache_clear()
+    equivalence._strong_partition.cache_clear()
+    calls = []
+    for owner, attr in ((lp.LP, "minimize"), (equivalence, "_refine")):
+        def counting(*args, _real=getattr(owner, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def test_prove_equal_meeting_forms_call_no_decider(monkeypatch):
+    calls = _decider_calls(monkeypatch)
+    for left, right in (
+            (nd("c.D(0) + b.D(a.D(0) + a.D(0)) + c.D(0)"),
+             nd("b.D(a.D(0)) + c.D(0)")),
+            (pt("D(b.D(0)) +[1/3] (D(a.D(0)) +[1/2] D(b.D(0)))"),
+             pt("D(a.D(0)) +[1/3] D(b.D(0))"))):
+        trace = prove_equal(left, right)
+        assert isinstance(trace, ProofTrace) and trace.steps
+        assert calls == []
+    # the counter sees the decider where the forms differ
+    assert isinstance(prove_equal(nd("a.D(tau.D(b.D(0)))"),
+                                  nd("a.D(b.D(0))")), ProofTrace)
+    assert "minimize" in calls and "_refine" in calls
+
+
+def test_prove_equal_shortcut_matches_full_path():
+    """prove_equal's proof is the one of the full path: the verdict,
+    then the prover from the raw sides."""
+    rng = random.Random(21)
+    met = 0
+    for _ in range(50):
+        sort = "p" if rng.random() < 0.5 else "nd"
+        left, right = random_equivalent_pair(
+            rng, GenConfig(seed=rng.randrange(2 ** 32), max_complexity=10),
+            sort=sort, rewrites=4)
+        trace = prove_equal(left, right)
+        assert check("rooted-branching", left, right).equivalent
+        prover = axioms._Prover()
+        if sort == "nd":
+            steps = prover.rooted(left, right)
+        else:
+            steps = prover.pterms(left, right, axioms._rooted_classes,
+                                  prover.rooted)
+        assert trace.steps == tuple(steps), print_term(left)
+        forms = axioms._Prover().normal_forms(left, right)
+        met += forms[0].term == forms[1].term
+    assert met == 50  # every draw takes the shortcut
+
+
+def test_prove_equal_refutes_past_the_budget():
+    left = nd("c.D(0) + b.D(0) + a.D(0)")
+    with pytest.raises(BudgetExceededError):
+        normalize_nd(left, budget=1)
+    out = prove_equal(left, nd("z.D(0)"), budget=1)
+    assert isinstance(out, Verdict) and not out.equivalent
+    with pytest.raises(BudgetExceededError):
+        prove_equal(left, nd("a.D(0) + b.D(0) + c.D(0)"), budget=1)
+
+
+def test_prove_equal_normalizes_each_side_once(monkeypatch):
+    # The C-saturation pair with the longest normalization: 11 of its
+    # steps normalize the two sides, and a second normalization would
+    # spend them again.
+    e, f = _c_saturation_pairs(8)[7]
+    budgets = []
+
+    class Recording(axioms._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(axioms, "_Budget", Recording)
+    a = Action("a")
+    for left, right, used in ((e, f, 27),
+                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 43)):
+        budgets.clear()
+        trace = prove_equal(left, right)
+        assert "C" in trace.rule_multiset()
+        assert [budget.used for budget in budgets] == [used]
 
 
 def test_trace_jsonl():

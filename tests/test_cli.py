@@ -124,6 +124,18 @@ def test_prove_budget_exit_three(capsys):
     assert "resource" in err
 
 
+def test_prove_refutation_past_the_budget(capsys):
+    # the budget runs out while normalizing the left side
+    code, out, _ = run(capsys, "prove", "--left", "c.D(0) + b.D(0) + a.D(0)",
+                       "--right", "z.D(0)", "--budget", "1")
+    assert code == 1
+    assert out.startswith("not equivalent")
+    code, _, err = run(capsys, "prove", "--left", "c.D(0) + b.D(0) + a.D(0)",
+                       "--right", "a.D(0) + b.D(0) + c.D(0)", "--budget", "1")
+    assert code == 3
+    assert "resource" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("fuzz", "--suite", "soundness", "--max-complexity", "0"),
     ("fuzz", "--suite", "soundness", "--trials", "-3"),

@@ -24,18 +24,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce
+from functools import reduce
 from typing import Optional
 
-from .dist import den
+from .dist import den, dirac
 from .equivalence import (
-    _ROOTED_CHECK,
-    _StrongCheck,
+    _direct_step,
     branching_analysis,
     check as relation_check,
-    rooted_partition_over,
     sqsubseteq,
-    strong_partition,
 )
 from .parse import print_term
 from .rat import ONE, ZERO, format_rat, rat
@@ -685,42 +682,7 @@ def _sbp2_chain(rw: _Rewriter, pos, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Matching weights, read from the decider's own LPs
-#
-# A matching maps the roots of a saturation proof to the decider's check
-# for the relation and its context: strong bisimilarity's partition, or
-# the rooted first step over the branching tables.  The prover asks
-# check.respond the very question the verdict rested on and reads the
-# match from the hull LP's feasible point: weights over state_targets(
-# responder, action).  The responder is a normalized chain among the
-# roots, because the signatures of the hull LP are defined only on the
-# partition universe.
-
-
-def _strong_matching(roots: frozenset):
-    return _StrongCheck(), strong_partition(roots)
-
-
-def _rooted_matching(roots: frozenset):
-    return _ROOTED_CHECK, branching_analysis(roots)
-
-
-def _rooted_classes(states: frozenset):
-    return rooted_partition_over(branching_analysis(states), states)
-
-
-def _matched_bodies(weights, responder, action):
-    """[(body, weight), ...] over the responder's action-summands, in
-    chain order, from weights over state_targets(responder, action).  A
-    normalized chain's summand bodies have pairwise distinct targets."""
-    weight = dict(zip(state_targets(responder, action), weights))
-    return [(s.body, weight[den(s.body)]) for s in summands(responder)
-            if isinstance(s, Prefix) and s.action == action
-            and weight[den(s.body)] != ZERO]
-
-
-# ---------------------------------------------------------------------------
-# C saturation of a whole-term chain
+# The prover
 
 
 def _add_combo(rw: _Rewriter, action: Action, weighted_bodies):
@@ -747,63 +709,29 @@ def _add_combo(rw: _Rewriter, action: Action, weighted_bodies):
                  {"alpha": action, "P": left, "Q": right, "r": r})
 
 
-def _saturate_and_pair(rw_left: _Rewriter, rw_right: _Rewriter,
-                       check, ctx, prefix_prover):
-    """Shared skeleton of the completeness argument.
-
-    Both sides are normalized chains.  Every summand of one side is
-    matched by a convex combination over the other side's same-action
-    summands; multi-summand matches are realized as new summands by C
-    saturation (fold intermediates unwound afterwards).  At that point
-    each side's (action, continuation-class) groups cover the other's,
-    so rewriting every summand body onto a canonical per-group
-    representative makes both chains normalize to the same term.
-    """
-    def group_key(body):
-        return check.challenge_sig(ctx, den(body))
-
-    term_left, term_right = rw_left.term, rw_right.term
-    for challenger, responder, rw in ((term_left, term_right, rw_right),
-                                      (term_right, term_left, rw_left)):
-        for s in summands(challenger):
-            if not isinstance(s, Prefix):
-                continue
-            weights = check.respond(ctx, responder, s.action,
-                                    group_key(s.body), None)
-            if weights is None:
-                raise ValueError("transfer match vanished during proof search")
-            match = _matched_bodies(weights, responder, s.action)
-            if len(match) > 1:
-                _add_combo(rw, s.action, match)
-
-    # Canonical representative per (action, continuation class).
-    reps: dict = {}
-    for rw in (rw_left, rw_right):
-        for s in summands(rw.term):
-            if not isinstance(s, Prefix):
-                continue
-            key = (s.action, group_key(s.body))
-            cur = reps.get(key)
-            if cur is None or (complexity(s.body), p_key(s.body)) < (
-                    complexity(cur), p_key(cur)):
-                reps[key] = s.body
-    for rw in (rw_left, rw_right):
-        items = summands(rw.term)
-        for i, s in enumerate(items):
-            if isinstance(s, Prefix):
-                rep = reps[(s.action, group_key(s.body))]
-                if s.body != rep:
-                    rw.splice(_elem_pos(_SUMS, [], len(items), i),
-                              prefix_prover(s.action, s.body, rep))
-
-    _normalize_at(rw_left, [])
-    _normalize_at(rw_right, [])
-    if rw_left.term != rw_right.term:
-        raise ValueError("saturation did not converge to a common form")
-
-
-# ---------------------------------------------------------------------------
-# The prover
+def _mixture(items, j):
+    """[(body, weight), ...] over the other same-action summands of the
+    normalized chain `items`, in chain order, whose fold has the
+    distribution of summand j's body, or None.  The bodies are forms, so
+    the hull LP reads a distribution's masses per form state.  Distinct
+    forms have distinct distributions, so only three or more bodies of
+    one action can hold a mixture."""
+    if len(items) < 3:  # fewer than three bodies; 0 only stands alone
+        return None
+    action, body = items[j].action, items[j].body
+    bodies = [s.body for s in items if s.action == action]
+    if len(bodies) < 3:
+        return None
+    rest = reduce(Sum, items[:j] + items[j + 1:])
+    states = sorted({s for b in bodies for s in den(b).support}, key=nd_key)
+    signature = lambda mu: tuple(mu.mass(s) for s in states)
+    weights = _direct_step(signature, dirac(rest), action,
+                           signature(den(body)), partial=False)
+    if weights is None:
+        return None
+    weight = dict(zip(state_targets(rest, action), weights))
+    return [(s.body, weight[den(s.body)]) for s in summands(rest)
+            if s.action == action and weight[den(s.body)] != ZERO]
 
 
 class _Prover:
@@ -813,90 +741,80 @@ class _Prover:
         self.budget = _Budget(budget)
         self._conc_memo: dict = {}
         self._conc_nd_memo: dict = {}
-        self._state_memo: dict = {}
-        self._pterm_memo: dict = {}
-        # State provers of the two completeness proofs: strong (A1-A4,
-        # P1-P3, C) and rooted branching (the full calculus).
-        self.strong = partial(self.states, _strong_matching,
-                              self.strong_prefix)
-        self.rooted = partial(self.states, _rooted_matching,
-                              self.branching_prefix)
+        self._form_memo: dict = {}
 
-    # -- state and spine pairing, shared by strong and rooted completeness
+    # -- one form per term: the completeness proofs, strong and rooted
 
     def normal_forms(self, a, b):
         """Rewriters holding a and b, each normalized on the shared
-        budget.  Every pairing starts here; where the two forms meet,
-        their steps prove a = b by soundness alone."""
+        budget.  Where the two forms meet, their steps prove a = b by
+        soundness alone."""
         forms = (_Rewriter(a, self.budget), _Rewriter(b, self.budget))
         for rw in forms:
             _normalize_at(rw, [])
         return forms
 
-    def states(self, matching, prefix_prover, e: NdTerm, f: NdTerm,
-               forms=None) -> list:
-        """Steps for e = f: both chains are normalized (or taken from
-        `forms`, as normal_forms gives them), saturated against each
-        other with the check that `matching` gives (strong or rooted)
-        and each continuation group is closed by `prefix_prover`."""
-        if e == f:
-            return []
-        key = (matching, e, f)
-        if key in self._state_memo:
-            return list(self._state_memo[key])
-        rw_e, rw_f = forms or self.normal_forms(e, f)
-        if rw_e.term != rw_f.term:
-            check, ctx = matching(frozenset({e, f, rw_e.term, rw_f.term}))
-            _saturate_and_pair(rw_e, rw_f, check, ctx, prefix_prover)
-        steps = rw_e.steps + invert_steps(rw_f.steps)
-        self._state_memo[key] = tuple(steps)
-        return steps
+    def form(self, term, rooted: bool):
+        """(steps, form): steps prove term = form, and strong bisimilar
+        terms (rooted branching bisimilar ones when `rooted`) have one
+        form.  A choice's form has its components' forms, sorted and
+        merged.  A state's form is its normalized chain, continuations
+        concretized first when `rooted`, with each prefix body in its
+        strong form and no summand whose body mixes the other same-action
+        bodies: C right to left drops it, as _add_combo in reverse."""
+        key = (term, rooted)
+        if key in self._form_memo:
+            steps, out = self._form_memo[key]
+            return list(steps), out
+        rw = _Rewriter(term, self.budget)
+        _normalize_at(rw, [])
+        if isinstance(term, PTerm):
+            spine = _items(_CHOICES, rw.term)
+            for i, comp in enumerate(spine):
+                rw.splice(_elem_pos(_CHOICES, [], len(spine), i) + [0],
+                          self.form(comp.body, rooted)[0])
+            _bubble_sort(rw, _CHOICES, [])
+            _merge_equal(rw, _CHOICES, [])
+        else:
+            if rooted:
+                self._concretize_continuations(rw, [])
+            items = summands(rw.term)
+            for j, s in enumerate(items):
+                if isinstance(s, Prefix):
+                    rw.splice(_elem_pos(_SUMS, [], len(items), j) + [0],
+                              self.form(s.body, False)[0])
+            _normalize_at(rw, [])
+            j = 0
+            while j < len(items := summands(rw.term)):
+                match = _mixture(items, j)
+                if match is None:
+                    j += 1
+                    continue
+                without = _Rewriter(reduce(Sum, items[:j] + items[j + 1:]),
+                                    self.budget)
+                _add_combo(without, items[j].action, match)
+                _normalize_at(without, [])
+                rw.splice([], invert_steps(without.steps))
+        self._form_memo[key] = (tuple(rw.steps), rw.term)
+        return rw.steps, rw.term
 
-    def pterms(self, p: PTerm, q: PTerm, partition_of, prove_states,
-               forms=None) -> list:
-        """Steps for p = q: both spines are normalized (or taken from
-        `forms`), every component is rewritten by `prove_states` onto the
-        representative of its class in partition_of(components), then
-        the spines are merged."""
-        if p == q:
+    def equal(self, a, b, rooted: bool, forms=None) -> list:
+        """Steps for a = b, two strong bisimilar terms (rooted branching
+        bisimilar ones when `rooted`): the steps of their normal forms
+        (or of `forms`, as normal_forms gives them) where those meet,
+        and otherwise each side's steps to its form, the right side's
+        inverted."""
+        if a == b:
             return []
-        key = (partition_of, p, q)
-        if key in self._pterm_memo:
-            return list(self._pterm_memo[key])
-        rw_p, rw_q = forms or self.normal_forms(p, q)
-        if rw_p.term != rw_q.term:
-            comps = [c.body for rw in (rw_p, rw_q)
-                     for c in _items(_CHOICES, rw.term)]
-            partition = partition_of(frozenset(comps))
-            reps: dict = {}
-            for state in comps:
-                cls = partition.class_of(state)
-                cur = reps.get(cls)
-                if cur is None or (complexity(state), nd_key(state)) < (
-                        complexity(cur), nd_key(cur)):
-                    reps[cls] = state
-            for rw in (rw_p, rw_q):
-                spine = _items(_CHOICES, rw.term)
-                for i, comp in enumerate(spine):
-                    rep = reps[partition.class_of(comp.body)]
-                    if comp.body != rep:
-                        rw.splice(_elem_pos(_CHOICES, [], len(spine), i) + [0],
-                                  prove_states(comp.body, rep))
-                _bubble_sort(rw, _CHOICES, [])
-                _merge_equal(rw, _CHOICES, [])
-            if rw_p.term != rw_q.term:
-                raise ValueError("component matching failed")
-        steps = rw_p.steps + invert_steps(rw_q.steps)
-        self._pterm_memo[key] = tuple(steps)
-        return steps
-
-    def strong_prefix(self, action: Action, p: PTerm, q: PTerm) -> list:
-        """Steps for action.p = action.q when den(p) ~ den(q), relative to
-        the prefix term."""
-        inner = self.pterms(p, q, strong_partition, self.strong)
-        rw = _Rewriter(Prefix(action, p), self.budget)
-        rw.splice([0], inner)
-        return rw.steps
+        rw_a, rw_b = forms or self.normal_forms(a, b)
+        if rw_a.term == rw_b.term:
+            return rw_a.steps + invert_steps(rw_b.steps)
+        (steps_a, form_a), (steps_b, form_b) = (
+            self.form(rw.term, rooted) for rw in (rw_a, rw_b))
+        if form_a != form_b:
+            raise ValueError("equivalent terms have different forms")
+        return (rw_a.steps + steps_a + invert_steps(steps_b)
+                + invert_steps(rw_b.steps))
 
     # -- concretization (full calculus)
 
@@ -1016,7 +934,7 @@ class _Prover:
             comp = _items(_CHOICES, rw.at(pos))[i]
             if comp.body != rep:
                 rw.splice(_elem_pos(_CHOICES, pos, len(spine), i) + [0],
-                          self.strong(comp.body, rep))
+                          self.equal(comp.body, rep, rooted=False))
         # bubble the equivalent copies to the front, then merge them
         for front in range(len(t_idx)):
             current = _items(_CHOICES, rw.at(pos))
@@ -1055,16 +973,6 @@ class _Prover:
         if rw.at([0]).left != rw.at([0]).right:
             raise ValueError("sandwich halves diverged during concretization")
         _CHOICES.merge(rw, [0])
-
-    # -- branching continuations under a prefix (prob-technical (c))
-
-    def branching_prefix(self, action: Action, p: PTerm, q: PTerm) -> list:
-        if p == q:
-            return []
-        steps_p, pbar = self.conc_prefix(action, p)
-        steps_q, qbar = self.conc_prefix(action, q)
-        return (list(steps_p) + self.strong_prefix(action, pbar, qbar)
-                + invert_steps(steps_q))
 
     # -- the purely non-deterministic fragment (axiom B route)
 
@@ -1121,10 +1029,8 @@ class _Prover:
         their identical strong normal forms."""
         s1, b1 = self.conc_nd(action, e1)
         s2, b2 = self.conc_nd(action, e2)
-        rw1 = _Rewriter(Prefix(action, Dirac(b1)), self.budget)
-        _normalize_at(rw1, [0, 0])
-        rw2 = _Rewriter(Prefix(action, Dirac(b2)), self.budget)
-        _normalize_at(rw2, [0, 0])
+        rw1, rw2 = self.normal_forms(Prefix(action, Dirac(b1)),
+                                     Prefix(action, Dirac(b2)))
         if rw1.term != rw2.term:
             raise ValueError(
                 "concrete normal forms differ for branching-equivalent "
@@ -1164,30 +1070,29 @@ def prove_equal(left, right, budget: int = 100000):
     Both sides are normalized under A1-A4/P1-P3 first.  Forms that meet
     prove the pair by soundness alone, and no decider runs.  Only forms
     that differ are checked for rooted branching bisimilarity; an
-    equivalent pair then goes on to C saturation and concretization
-    from those same forms.  Exceeding the step budget raises
+    equivalent pair is then proved through the one rooted form of both
+    sides: each is concretized under its prefixes, its prefix bodies
+    take their strong forms, and C drops the summands that are mixtures
+    of the others.  Exceeding the step budget raises
     BudgetExceededError (a resource condition, never a verdict), except
     that an inequivalent pair is refuted whatever the budget."""
     prover = _Prover(budget)
     if isinstance(left, NdTerm) and isinstance(right, NdTerm):
         start, end = left, right
-        prove = prover.rooted
     else:
         start = left if isinstance(left, PTerm) else Dirac(left)
         end = right if isinstance(right, PTerm) else Dirac(right)
-        prove = partial(prover.pterms, partition_of=_rooted_classes,
-                        prove_states=prover.rooted)
     forms = None
     if start != end:
         try:
             forms = prover.normal_forms(start, end)
         except BudgetExceededError:
-            pass  # refute below; an equivalent pair raises again in prove
+            pass  # refute below; an equivalent pair raises again in equal
         if forms is None or forms[0].term != forms[1].term:
             verdict = relation_check("rooted-branching", left, right)
             if not verdict.equivalent:
                 return verdict
-    steps = prove(start, end, forms=forms)
+    steps = prover.equal(start, end, rooted=True, forms=forms)
     trace = ProofTrace(start, tuple(steps), end)
     trace.replay()
     return trace

@@ -43,9 +43,10 @@ the rooted first step and the matching preorder `sqsubseteq`, with no
 silent move before the step — is one hull LP, `_direct_step`, over the
 signatures of the responder's action-targets: class masses for strong,
 stable signatures for the other two.  The weak branching step is the
-flow LP of `_Tables.transfer_feasible`.  The prover (axioms.py) reads
-its matching weights from the feasible point of the very hull LP that
-the verdict rested on.
+flow LP of `_Tables.transfer_feasible`.  The prover (axioms.py) asks
+`_direct_step` whether a body of its own forms is a mixture of the
+other same-action bodies, over their masses per form state, and reads
+the weights of the mixture from the feasible point.
 
 A not-equivalent verdict of any relation carries the class masses of
 both sides under the partition that decided it, and an action that

@@ -31,7 +31,13 @@ from probranch.equivalence import (
     is_concrete,
     rooted_branching_equiv,
 )
-from probranch.harness import GenConfig, gen_nd, random_equivalent_pair
+from probranch.harness import (
+    GenConfig,
+    gen_nd,
+    gen_p,
+    random_equivalent_pair,
+    random_sound_application,
+)
 from probranch.parse import parse_nd, parse_p, print_term
 from probranch.rat import rat
 from probranch.terms import (
@@ -490,7 +496,7 @@ def test_prove_equal_intro_terms():
 @pytest.mark.parametrize("left,right", [
     ("a.D(b.D(0)) + a.D(c.D(0))",
      "a.D(b.D(0)) + a.(D(b.D(0)) +[5/12] D(c.D(0))) + a.D(c.D(0))"),
-    # under a prefix the match is strong: the strong saturation path
+    # under a prefix the body takes its strong form
     ("a.D(b.D(c.D(0)) + b.D(d.D(0)))",
      "a.D(b.D(c.D(0)) + b.(D(c.D(0)) +[1/2] D(d.D(0))) + b.D(d.D(0)))"),
 ], ids=["rooted", "strong-under-prefix"])
@@ -502,12 +508,26 @@ def test_prove_equal_combined_transition_pair(left, right):
     assert "C" in trace.rule_multiset()
 
 
+def _own_bodies(e):
+    """[(action, bodies)] for each visible action of the state e with
+    summand bodies of at least two distributions, one body per
+    distribution, by action name."""
+    bodies = {}
+    for s in summands(e):
+        if isinstance(s, Prefix) and not s.action.is_tau:
+            bodies.setdefault(s.action, {}).setdefault(den(s.body), s.body)
+    return [(action, list(by_den.values()))
+            for action, by_den in sorted(bodies.items(),
+                                         key=lambda kv: kv[0].name)
+            if len(by_den) >= 2]
+
+
 def _c_saturation_pairs(n):
     """n seeded states E (distinct up to A1-A4), each paired with
     E + alpha.(P +[r] Q) for two of its own visible alpha-summands whose
     bodies have distinct distributions.  The extra summand is a combined
-    transition of E, so the prover must saturate E against it, and where
-    P and Q are not equivalent it has to introduce that summand by C."""
+    transition of E, so the right side's form drops it, and where P and
+    Q are not equivalent that takes C."""
     rng = random.Random(5)
     pairs, seen = [], set()
     seed = 0
@@ -515,14 +535,7 @@ def _c_saturation_pairs(n):
         seed += 1
         e = gen_nd(GenConfig(seed=seed, max_complexity=7, actions=("a", "b"),
                              tau_bias=rat(1, 4)))
-        bodies = {}
-        for s in summands(e):
-            if isinstance(s, Prefix) and not s.action.is_tau:
-                bodies.setdefault(s.action, {}).setdefault(den(s.body), s.body)
-        options = [(action, list(by_den.values()))
-                   for action, by_den in sorted(bodies.items(),
-                                                key=lambda kv: kv[0].name)
-                   if len(by_den) >= 2]
+        options = _own_bodies(e)
         normal = normalize_nd(e)[0]
         if not options or normal in seen:
             continue
@@ -536,16 +549,16 @@ def _c_saturation_pairs(n):
 
 def test_prove_equal_c_saturation_seeded(monkeypatch):
     calls = []
-    saturate = axioms._saturate_and_pair
+    form = axioms._Prover.form
 
-    def counting(*args):
+    def counting(self, *args):
         calls.append(args)
-        return saturate(*args)
+        return form(self, *args)
 
-    monkeypatch.setattr(axioms, "_saturate_and_pair", counting)
+    monkeypatch.setattr(axioms._Prover, "form", counting)
     proofs = with_c = 0
     for e, f in _c_saturation_pairs(8):
-        # bare: the rooted path; under a prefix: the strong path
+        # bare: the rooted form; under a prefix: the strong form of the body
         for left, right in ((e, f), (Prefix(Action("a"), Dirac(e)),
                                      Prefix(Action("a"), Dirac(f)))):
             trace = prove_equal(left, right)
@@ -555,6 +568,55 @@ def test_prove_equal_c_saturation_seeded(monkeypatch):
             with_c += "C" in trace.rule_multiset()
     assert len(calls) >= proofs == 16
     assert with_c >= proofs // 2
+
+
+def _combination_pair(rng):
+    """A seeded state E against E + alpha.(a fold of 2-3 of E's own
+    alpha-bodies), as in _c_saturation_pairs; one time in four the fold
+    takes a foreign body instead of its last own one."""
+    options = []
+    while not options:
+        e = gen_nd(GenConfig(seed=rng.randrange(2 ** 32), max_complexity=7,
+                             actions=("a", "b"), tau_bias=rat(1, 4)))
+        options = _own_bodies(e)
+    action, candidates = rng.choice(options)
+    bodies = rng.sample(candidates, min(len(candidates), rng.randint(2, 3)))
+    if rng.random() < 0.25:
+        bodies[-1] = gen_p(GenConfig(seed=rng.randrange(2 ** 32),
+                                     max_complexity=4, actions=("a", "b")))
+    fold = reduce(lambda acc, body: PChoice(acc, rat(rng.randint(1, 5), 6),
+                                            body), bodies)
+    return e, Sum(e, Prefix(action, fold))
+
+
+def test_form_agrees_with_the_decider():
+    """Two terms have one form, strong or rooted, exactly when the
+    decider finds them strong or rooted branching bisimilar, over four
+    seeded families: equivalent pairs, random state pairs, sound axiom
+    applications and C-combination pairs."""
+    rng = random.Random(22)
+
+    def config():
+        return GenConfig(seed=rng.randrange(2 ** 32), max_complexity=8)
+
+    pairs = []
+    for _ in range(40):
+        pairs.append(random_equivalent_pair(
+            rng, config(), sort=rng.choice(("p", "nd")), rewrites=4))
+        pairs.append((gen_nd(config()), gen_nd(config())))
+        pairs.append(random_sound_application(rng, config())[::2])
+        pairs.append(_combination_pair(rng))
+    seen = {"strong": set(), "rooted-branching": set()}
+    for left, right in pairs:
+        for relation, rooted in (("strong", False),
+                                 ("rooted-branching", True)):
+            prover = axioms._Prover()
+            same = prover.form(left, rooted)[1] == prover.form(right, rooted)[1]
+            assert same == check(relation, left, right).equivalent, (
+                relation, print_term(left), print_term(right))
+            seen[relation].add(same)
+    assert seen == {"strong": {True, False},
+                    "rooted-branching": {True, False}}
 
 
 def test_prove_equal_budget():
@@ -611,12 +673,7 @@ def test_prove_equal_shortcut_matches_full_path():
             sort=sort, rewrites=4)
         trace = prove_equal(left, right)
         assert check("rooted-branching", left, right).equivalent
-        prover = axioms._Prover()
-        if sort == "nd":
-            steps = prover.rooted(left, right)
-        else:
-            steps = prover.pterms(left, right, axioms._rooted_classes,
-                                  prover.rooted)
+        steps = axioms._Prover().equal(left, right, rooted=True)
         assert trace.steps == tuple(steps), print_term(left)
         forms = axioms._Prover().normal_forms(left, right)
         met += forms[0].term == forms[1].term
@@ -648,7 +705,7 @@ def test_prove_equal_normalizes_each_side_once(monkeypatch):
     monkeypatch.setattr(axioms, "_Budget", Recording)
     a = Action("a")
     for left, right, used in ((e, f, 27),
-                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 43)):
+                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 39)):
         budgets.clear()
         trace = prove_equal(left, right)
         assert "C" in trace.rule_multiset()

@@ -48,7 +48,6 @@ from .terms import (
     TAU,
     Zero,
     ZERO_TERM,
-    complexity,
     is_nd_fragment,
     nd_key,
     p_key,
@@ -798,19 +797,18 @@ class _Prover:
         self._form_memo[key] = (tuple(rw.steps), rw.term)
         return rw.steps, rw.term
 
-    def equal(self, a, b, rooted: bool, forms=None) -> list:
-        """Steps for a = b, two strong bisimilar terms (rooted branching
-        bisimilar ones when `rooted`): the steps of their normal forms
-        (or of `forms`, as normal_forms gives them) where those meet,
-        and otherwise each side's steps to its form, the right side's
-        inverted."""
+    def equal(self, a, b, forms=None) -> list:
+        """Steps for a = b, two rooted branching bisimilar terms: the
+        steps of their normal forms (or of `forms`, as normal_forms gives
+        them) where those meet, and otherwise each side's steps to its
+        rooted form, the right side's inverted."""
         if a == b:
             return []
         rw_a, rw_b = forms or self.normal_forms(a, b)
         if rw_a.term == rw_b.term:
             return rw_a.steps + invert_steps(rw_b.steps)
         (steps_a, form_a), (steps_b, form_b) = (
-            self.form(rw.term, rooted) for rw in (rw_a, rw_b))
+            self.form(rw.term, True) for rw in (rw_a, rw_b))
         if form_a != form_b:
             raise ValueError("equivalent terms have different forms")
         return (rw_a.steps + steps_a + invert_steps(steps_b)
@@ -867,15 +865,15 @@ class _Prover:
         return None
 
     def _find_partially_inert(self, items, state):
-        # A class-mass test, not equivalent_fraction: _reshape_partial
-        # needs the class, whose support part it gathers into one state.
-        cls = branching_analysis({state}).partition.class_of(state)
+        """Index of the first silent summand whose body's equivalent
+        fraction lies strictly between 0 and 1, as for inertness."""
+        tables = branching_analysis({state})
+        ref = tables.stabsig_state[state]
         for j, s in enumerate(items):
-            if not (isinstance(s, Prefix) and s.action.is_tau):
-                continue
-            r = den(s.body).class_mass(cls)
-            if ZERO < r < ONE:
-                return j, cls
+            if (isinstance(s, Prefix) and s.action.is_tau
+                    and ZERO < tables.equivalent_fraction(den(s.body), ref)
+                    < ONE):
+                return j
         return None
 
     def _conc_state_front(self, rw: _Rewriter, action: Action):
@@ -904,12 +902,9 @@ class _Prover:
                              {"alpha": action, "E": h_term, "P": body,
                               "Q": rest, "r": w})
                 return
-            found = self._find_partially_inert(items, state)
-            if found is None:
+            j = self._find_partially_inert(items, state)
+            if j is None:
                 return  # state is concrete; component stays a Dirac
-            j, cls = found
-            body_pos = _elem_pos(_SUMS, base, len(items), j) + [0]
-            self._reshape_partial(rw, body_pos, cls)
             _move(rw, _SUMS, base, j, 0)
             _reassociate(rw, _SUMS, base, side=1)
             tau_summand = rw.at(base + [0])
@@ -921,27 +916,6 @@ class _Prover:
                       "Q": rest, "r": w})
             # loop: the new front state is h_term with one partially
             # inert summand fewer
-
-    def _reshape_partial(self, rw: _Rewriter, pos, cls):
-        """Rewrite the choice spine at pos into D(F) (+r0) Rest, with F the
-        canonical representative of the class-equivalent support part."""
-        _reassociate(rw, _CHOICES, pos)
-        spine = _items(_CHOICES, rw.at(pos))
-        t_idx = [i for i, c in enumerate(spine) if c.body in cls]
-        t_states = [spine[i].body for i in t_idx]
-        rep = min(t_states, key=lambda s: (complexity(s), nd_key(s)))
-        for i in t_idx:
-            comp = _items(_CHOICES, rw.at(pos))[i]
-            if comp.body != rep:
-                rw.splice(_elem_pos(_CHOICES, pos, len(spine), i) + [0],
-                          self.equal(comp.body, rep, rooted=False))
-        # bubble the equivalent copies to the front, then merge them
-        for front in range(len(t_idx)):
-            current = _items(_CHOICES, rw.at(pos))
-            src = next(k for k in range(front, len(current))
-                       if current[k] == Dirac(rep))
-            _move(rw, _CHOICES, pos, src, front)
-        _merge_equal(rw, _CHOICES, pos)
 
     def _conc_state_bare(self, rw: _Rewriter, action: Action):
         """Concretize body = D(E) directly under the prefix."""
@@ -1092,7 +1066,7 @@ def prove_equal(left, right, budget: int = 100000):
             verdict = relation_check("rooted-branching", left, right)
             if not verdict.equivalent:
                 return verdict
-    steps = prover.equal(start, end, rooted=True, forms=forms)
+    steps = prover.equal(start, end, forms=forms)
     trace = ProofTrace(start, tuple(steps), end)
     trace.replay()
     return trace

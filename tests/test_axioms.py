@@ -449,6 +449,19 @@ def test_concretize_nd_examples():
     ebar, trace = concretize_nd(ZERO_TERM)
     assert ebar == ZERO_TERM
 
+    # B's main case: the inert summand leaves other summands behind
+    for e, expected, length in (
+            ("tau.D(b.D(0)) + b.D(0)", "b.D(0)", 4),
+            ("a.D(tau.D(b.D(0) + c.D(0)) + b.D(0))", "a.D(b.D(0) + c.D(0))",
+             10)):
+        ebar, trace = concretize_nd(nd(e))
+        assert ebar == nd(expected)
+        trace.replay()
+        assert len(trace.steps) == length
+        assert trace.rule_multiset()["B"] == 1
+        assert check("rooted-branching", Prefix(TAU, Dirac(nd(e))),
+                     Prefix(TAU, Dirac(ebar))).equivalent
+
 
 def test_concretize_nd_fragment_error():
     with pytest.raises(FragmentError):
@@ -673,7 +686,7 @@ def test_prove_equal_shortcut_matches_full_path():
             sort=sort, rewrites=4)
         trace = prove_equal(left, right)
         assert check("rooted-branching", left, right).equivalent
-        steps = axioms._Prover().equal(left, right, rooted=True)
+        steps = axioms._Prover().equal(left, right)
         assert trace.steps == tuple(steps), print_term(left)
         forms = axioms._Prover().normal_forms(left, right)
         met += forms[0].term == forms[1].term
@@ -744,3 +757,32 @@ def test_concretize_partially_inert_exact_result():
     trace.replay()
     expected, _ = canonical_pterm(pt("D(b.D(c.D(0)) + tau.D(d.D(0)))"))
     assert pbar == expected
+
+
+def test_concretize_partially_inert_class_mates_differ():
+    # The partially inert summand's body reaches two states of the
+    # source's class that differ up to C.  G drops the summand as it
+    # stands, so no step proves the two states equal.
+    s1 = "b.D(c.D(0)) + b.D(e.D(0)) + tau.D(d.D(0))"
+    s2 = f"{s1} + b.(D(c.D(0)) +[1/2] D(e.D(0)))"
+    pbar, trace = concretize(
+        pt(f"D(tau.(D({s1}) +[1/3] (D({s2}) +[1/2] D(d.D(0)))) + {s1})"))
+    assert pbar == pt("D(tau.D(d.D(0)) + b.D(c.D(0)) + b.D(e.D(0)))")
+    assert is_concrete(pbar)
+    trace.replay()
+    rules = trace.rule_multiset()
+    assert rules["G"] == 2 and "C" not in rules
+    assert len(trace.steps) == 32
+
+
+def test_prove_equal_three_body_fold_drops_intermediate_folds():
+    # Dropping the fold replays _add_combo in reverse: two C steps fold
+    # the three bodies and a third takes the intermediate fold out.
+    left = nd("a.D(b.D(0)) + a.D(c.D(0)) + a.D(d.D(0)) + "
+              "a.((D(b.D(0)) +[1/2] D(c.D(0))) +[1/3] D(d.D(0)))")
+    right = nd("a.D(d.D(0)) + a.D(c.D(0)) + a.D(b.D(0))")
+    trace = prove_equal(left, right)
+    assert isinstance(trace, ProofTrace)
+    assert trace.replay() == right
+    assert len(trace.steps) == 33
+    assert trace.rule_multiset()["C"] == 3

@@ -105,9 +105,29 @@ class RewriteStep:
     direction: str  # "LR" | "RL"
     substitution: tuple  # sorted ((name, value), ...)
     witness: Optional[dict] = None
+    # The axiom instance (lhs, rhs), built on first use and kept on the
+    # step, as terms.hash_once keeps a node's hash; not a field, so not
+    # part of the value.
+    _sides = None
 
     def subst(self) -> dict:
         return dict(self.substitution)
+
+    def sides(self) -> tuple:
+        """The axiom instance (lhs, rhs) under the substitution."""
+        sides = self._sides
+        if sides is None:
+            sides = self.__dict__["_sides"] = _axiom_sides(self.axiom,
+                                                           self.subst())
+        return sides
+
+    def moved(self, position: tuple, direction: str) -> "RewriteStep":
+        """The same instance at another position or in another direction;
+        the new step shares this one's instance."""
+        out = RewriteStep(self.axiom, position, direction, self.substitution,
+                          self.witness)
+        out.__dict__["_sides"] = self._sides
+        return out
 
     def to_json(self, index: int, before: str, after: str) -> dict:
         """The step as JSON, given the printed terms around it."""
@@ -166,41 +186,30 @@ class ProofTrace:
 # Positions
 
 
+def _child_at(node, i):
+    if isinstance(node, (Sum, PChoice)) and i in (0, 1):
+        return node.right if i else node.left
+    if isinstance(node, (Prefix, Dirac)) and i == 0:
+        return node.body
+    raise PositionError(f"no child {i} at {node!r}")
+
+
+def _with_child(node, i, new):
+    """node with its child i, which _child_at found, replaced by new."""
+    if isinstance(node, Sum):
+        return Sum(node.left, new) if i else Sum(new, node.right)
+    if isinstance(node, PChoice):
+        return (PChoice(node.left, node.weight, new) if i
+                else PChoice(new, node.weight, node.right))
+    if isinstance(node, Prefix):
+        return Prefix(node.action, new)
+    return Dirac(new)
+
+
 def get_subterm(term, position: tuple):
-    node = term
     for i in position:
-        if isinstance(node, Sum) and i in (0, 1):
-            node = node.left if i == 0 else node.right
-        elif isinstance(node, PChoice) and i in (0, 1):
-            node = node.left if i == 0 else node.right
-        elif isinstance(node, Prefix) and i == 0:
-            node = node.body
-        elif isinstance(node, Dirac) and i == 0:
-            node = node.body
-        else:
-            raise PositionError(f"no child {i} at {node!r}")
-    return node
-
-
-def replace_subterm(term, position: tuple, new):
-    if not position:
-        return new
-    i, rest = position[0], position[1:]
-    if isinstance(term, Sum) and i == 0:
-        return Sum(replace_subterm(term.left, rest, new), term.right)
-    if isinstance(term, Sum) and i == 1:
-        return Sum(term.left, replace_subterm(term.right, rest, new))
-    if isinstance(term, PChoice) and i == 0:
-        return PChoice(replace_subterm(term.left, rest, new), term.weight,
-                       term.right)
-    if isinstance(term, PChoice) and i == 1:
-        return PChoice(term.left, term.weight,
-                       replace_subterm(term.right, rest, new))
-    if isinstance(term, Prefix) and i == 0:
-        return Prefix(term.action, replace_subterm(term.body, rest, new))
-    if isinstance(term, Dirac) and i == 0:
-        return Dirac(replace_subterm(term.body, rest, new))
-    raise PositionError(f"no child {i} at {term!r}")
+        term = _child_at(term, i)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +217,31 @@ def replace_subterm(term, position: tuple, new):
 
 
 def _p2_derived(sub: dict) -> dict:
-    """Complete a P2 substitution: (r, s) <-> (rbar, sbar)."""
+    """Complete a P2 substitution: (r, s) <-> (rbar, sbar), where
+
+        sbar = 1 - (1-r)(1-s),  rbar = r / sbar
+        r = rbar * sbar,        s = 1 - (1-sbar) / (1-r)
+
+    Each derived weight is one rat(n, d) over integer products of the
+    given weights' numerators and denominators."""
     out = dict(sub)
     if "r" in out and "s" in out:
-        r, s = out["r"], out["s"]
-        sbar = ONE - (ONE - r) * (ONE - s)
-        rbar = r / sbar
+        a, b = out["r"].numerator, out["r"].denominator
+        c, d = out["s"].numerator, out["s"].denominator
+        m = b * d - (b - a) * (d - c)  # sbar = m / bd
+        rbar, sbar = rat(a * d, m), rat(m, b * d)
         out.setdefault("rbar", rbar)
         out.setdefault("sbar", sbar)
         if out["rbar"] != rbar or out["sbar"] != sbar:
             raise SubstitutionError("inconsistent P2 re-weighting parameters")
     elif "rbar" in out and "sbar" in out:
-        rbar, sbar = out["rbar"], out["sbar"]
-        r = rbar * sbar
-        if r == ONE:
+        a, b = out["rbar"].numerator, out["rbar"].denominator
+        c, d = out["sbar"].numerator, out["sbar"].denominator
+        m = b * d - a * c  # 1 - r = m / bd
+        if m == 0:
             raise SubstitutionError("degenerate P2 parameters")
-        s = ONE - (ONE - sbar) / (ONE - r)
-        out["r"] = r
-        out["s"] = s
+        out["r"] = rat(a * c, b * d)
+        out["s"] = rat(c * (b - a), m)
     else:
         raise SubstitutionError("P2 requires (r, s) or (rbar, sbar)")
     return out
@@ -291,7 +307,7 @@ def _axiom_sides(axiom: AxiomId, sub: dict):
     raise SubstitutionError(f"unknown axiom {axiom}")
 
 
-def _verify_side_condition(axiom: AxiomId, sub: dict, instance):
+def _verify_side_condition(axiom: AxiomId, sub: dict):
     if axiom in (AxiomId.BP, AxiomId.SBP1):
         if not sqsubseteq(sub["E"], sub["P"]):
             raise SideConditionError(
@@ -323,18 +339,24 @@ def _side_condition_witness(axiom: AxiomId, sub: dict) -> Optional[dict]:
 
 def apply_axiom(term, step: RewriteStep):
     """Apply one recorded rewrite step, re-verifying position, matching
-    and side conditions."""
-    sub = step.subst()
-    lhs, rhs = _axiom_sides(step.axiom, sub)
+    and side conditions.  One walk down to the position keeps the nodes
+    that the result is rebuilt along."""
+    lhs, rhs = step.sides()
     src, dst = (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
-    actual = get_subterm(term, step.position)
+    path = []
+    actual = term
+    for i in step.position:
+        path.append(actual)
+        actual = _child_at(actual, i)
     if actual != src:
         raise SubstitutionError(
             f"{step.axiom.value} {step.direction} does not match at "
             f"{step.position}: expected {print_term(src)}, "
             f"found {print_term(actual)}")
-    _verify_side_condition(step.axiom, sub, actual)
-    return replace_subterm(term, step.position, dst)
+    _verify_side_condition(step.axiom, step.subst())
+    for node, i in zip(reversed(path), reversed(step.position)):
+        dst = _with_child(node, i, dst)
+    return dst
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +405,17 @@ class _Rewriter:
     def splice(self, position, steps):
         """Apply steps produced for the subterm rooted at `position`."""
         for step in steps:
-            shifted = RewriteStep(step.axiom, tuple(position) + step.position,
-                                  step.direction, step.substitution,
-                                  step.witness)
+            shifted = step.moved(tuple(position) + step.position,
+                                 step.direction)
             self.term = apply_axiom(self.term, shifted)
             self.steps.append(shifted)
             self.budget.spend()
 
 
 def invert_steps(steps):
-    flipped = []
-    for step in reversed(steps):
-        flipped.append(RewriteStep(
-            step.axiom, step.position,
-            "RL" if step.direction == "LR" else "LR",
-            step.substitution, step.witness))
-    return flipped
+    return [step.moved(step.position,
+                       "RL" if step.direction == "LR" else "LR")
+            for step in reversed(steps)]
 
 
 @dataclass(frozen=True)
@@ -490,20 +507,33 @@ def _swap(rw: _Rewriter, sort: _ListSort, base, n: int, i: int):
     sort.rotate_in(rw, pos)
 
 
-def _merge_equal(rw: _Rewriter, sort: _ListSort, base):
-    """Merge adjacent equal elements (A3 or P3) of the canonical list at
-    base."""
-    while True:
-        items = _items(sort, rw.at(base))
-        hit = next((i for i in range(len(items) - 1)
-                    if items[i] == items[i + 1]), None)
-        if hit is None:
-            return
-        pos, innermost = _pair_pos(sort, base, len(items), hit)
-        if not innermost:
-            sort.rotate_out(rw, pos)
-            pos.append(1 - sort.nest)
-        sort.merge(rw, pos)
+def _sort_merge(rw: _Rewriter, sort: _ListSort, base):
+    """Sort the canonical list at base and merge its equal elements, in
+    one pass.  The sorted, duplicate-free run grows at the list's
+    innermost end (the front of a sum chain, the back of a choice
+    spine): each element outside it, taken from the inside out, moves
+    inward by adjacent swaps, which cost one A1/P1 step at that end and
+    not three, until it is in order or meets an equal element, which
+    A3/P3 merges it with at once."""
+    items = _items(sort, rw.at(base))
+    inward = 1 if sort.nest else -1
+    for outside in range(len(items) - 1, 0, -1):
+        i = outside - 1 if sort.nest else len(items) - outside
+        while 0 <= i + inward < len(items):
+            lo = min(i, i + inward)  # the element and its inward neighbour
+            if items[lo] == items[lo + 1]:
+                pos, innermost = _pair_pos(sort, base, len(items), lo)
+                if not innermost:
+                    sort.rotate_out(rw, pos)
+                    pos.append(1 - sort.nest)
+                sort.merge(rw, pos)
+                del items[i]
+                break
+            if sort.key(items[lo]) < sort.key(items[lo + 1]):
+                break
+            _swap(rw, sort, base, len(items), lo)
+            items[lo], items[lo + 1] = items[lo + 1], items[lo]
+            i += inward
 
 
 def _reassociate(rw: _Rewriter, sort: _ListSort, pos, side=None):
@@ -527,17 +557,6 @@ def _move(rw: _Rewriter, sort: _ListSort, base, src: int, dst: int):
         _swap(rw, sort, base, n, i - 1)
     for i in range(src, dst):
         _swap(rw, sort, base, n, i)
-
-
-def _bubble_sort(rw: _Rewriter, sort: _ListSort, base):
-    """Sort the canonical list at base by adjacent swaps (bubble sort, so
-    the swap sequence is deterministic)."""
-    n = len(_items(sort, rw.at(base)))
-    for end in range(n - 1, 0, -1):
-        for i in range(end):
-            items = _items(sort, rw.at(base))
-            if sort.key(items[i]) > sort.key(items[i + 1]):
-                _swap(rw, sort, base, n, i)
 
 
 def _chain_drop_zeros(rw: _Rewriter, base):
@@ -581,8 +600,7 @@ def _normalize_at(rw: _Rewriter, pos):
     n = len(_items(sort, rw.at(pos)))
     for i in range(n):
         _normalize_at(rw, _elem_pos(sort, pos, n, i))
-    _bubble_sort(rw, sort, pos)
-    _merge_equal(rw, sort, pos)
+    _sort_merge(rw, sort, pos)
     if sort is _SUMS:
         _chain_drop_zeros(rw, pos)
 
@@ -772,8 +790,7 @@ class _Prover:
             for i, comp in enumerate(spine):
                 rw.splice(_elem_pos(_CHOICES, [], len(spine), i) + [0],
                           self.form(comp.body, rooted)[0])
-            _bubble_sort(rw, _CHOICES, [])
-            _merge_equal(rw, _CHOICES, [])
+            _sort_merge(rw, _CHOICES, [])
         else:
             if rooted:
                 self._concretize_continuations(rw, [])
@@ -835,8 +852,7 @@ class _Prover:
                 _move(rw, _CHOICES, [0], m - 1, 0)
                 self._conc_state_front(rw, action)
             _reassociate(rw, _CHOICES, [0])
-            _bubble_sort(rw, _CHOICES, [0])
-            _merge_equal(rw, _CHOICES, [0])
+            _sort_merge(rw, _CHOICES, [0])
         pbar = rw.term.body
         self._conc_memo[key] = (tuple(rw.steps), pbar)
         return rw.steps, pbar

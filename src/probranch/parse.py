@@ -13,7 +13,7 @@ Choice weights outside (0,1) are rejected at parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rat import ZERO, ONE, rat
 from .terms import (
@@ -37,8 +37,7 @@ class ParseError(ValueError):
         self.token = token
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -64,12 +63,13 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """One scan of the text; a gap between two matches, or after the
+    last, is an unexpected character."""
     tokens = []
     line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character", line, col, text[pos])
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
         lexeme = m.group()
         if kind != "WS":
@@ -81,6 +81,8 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             col += len(lexeme)
         pos = m.end()
+    if pos < len(text):
+        raise ParseError("unexpected character", line, col, text[pos])
     tokens.append(_Token("EOF", "<eof>", line, col))
     return tokens
 

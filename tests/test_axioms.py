@@ -304,16 +304,37 @@ def test_list_swap_exchanges_exactly_two_elements(sort):
 
 
 @LIST_SORTS
-def test_list_merge_equal_removes_adjacent_duplicates(sort):
+def test_list_sort_merge_sorts_and_removes_duplicates(sort):
     rng = random.Random(3)
     for _ in range(40):
-        items = _list_elements(sort, rng, rng.randint(1, 7), names="ab")
+        items = _list_elements(sort, rng, rng.randint(1, 7), names="abc")
         term, base = _in_context(sort, _nest(sort, items, rng))
         rw = _rewriter(term)
-        axioms._merge_equal(rw, sort, base)
-        want = [x for k, x in enumerate(items) if k == 0 or x != items[k - 1]]
-        assert axioms._items(sort, rw.at(base)) == want
+        axioms._sort_merge(rw, sort, base)
+        assert axioms._items(sort, rw.at(base)) == sorted(set(items),
+                                                          key=sort.key)
         assert _canonical(sort, rw.at(base))
+        if sort is axioms._CHOICES:
+            assert den(rw.at(base)) == den(axioms.get_subterm(term, base))
+        assert ProofTrace(term, tuple(rw.steps), rw.term).replay() == rw.term
+
+
+@LIST_SORTS
+def test_list_sort_merge_swaps_in_one_step_at_the_innermost_end(sort):
+    # Descending, so each element moves all the way to the innermost end
+    # of the run: k - 1 swaps of three steps (A2/P2, A1/P1, A2/P2) and a
+    # last swap of one, for the k-th element inserted.
+    items = [Prefix(Action(c), Dirac(ZERO_TERM)) for c in "dcba"]
+    if sort is axioms._CHOICES:
+        items = [Dirac(x) for x in items]
+    term, base = _in_context(sort, _nest(sort, items, random.Random(6)))
+    rw = _rewriter(term)
+    axioms._sort_merge(rw, sort, base)
+    assert axioms._items(sort, rw.at(base)) == items[::-1]
+    trace = ProofTrace(term, tuple(rw.steps), rw.term)
+    assert trace.replay() == rw.term
+    swaps, rotations = ("A1", "A2") if sort is axioms._SUMS else ("P1", "P2")
+    assert trace.rule_multiset() == {swaps: 6, rotations: 6}
 
 
 @LIST_SORTS
@@ -704,7 +725,7 @@ def test_prove_equal_refutes_past_the_budget():
 
 
 def test_prove_equal_normalizes_each_side_once(monkeypatch):
-    # The C-saturation pair with the longest normalization: 11 of its
+    # The C-saturation pair with the longest normalization: 7 of its
     # steps normalize the two sides, and a second normalization would
     # spend them again.
     e, f = _c_saturation_pairs(8)[7]
@@ -717,8 +738,8 @@ def test_prove_equal_normalizes_each_side_once(monkeypatch):
 
     monkeypatch.setattr(axioms, "_Budget", Recording)
     a = Action("a")
-    for left, right, used in ((e, f, 27),
-                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 39)):
+    for left, right, used in ((e, f, 23),
+                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 35)):
         budgets.clear()
         trace = prove_equal(left, right)
         assert "C" in trace.rule_multiset()

@@ -117,6 +117,12 @@ def test_parse_term_tokenizes_once(monkeypatch):
      (1, 10)),
     ("D(0) +[1/0] D(0)", "zero denominator", (1, 10)),
     ("D(0) +[1/2] D(A)", "unexpected character", (1, 15)),
+    # positions on the lines after a newline
+    ("a.D(0) +\n  b.D(0) $ c.D(0)", "unexpected character", (2, 10)),
+    ("a.D(0) +\n\n   b.D(0) +", "expected '0', an action prefix, or '('",
+     (3, 12)),
+    ("D(0) +[1/2]\n D(0) +[2/1] D(0)", "choice weight 2 outside (0,1)",
+     (2, 9)),
 ])
 def test_parse_term_reports_the_parse_that_got_further(text, message,
                                                        position):

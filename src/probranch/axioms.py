@@ -31,7 +31,7 @@ from .dist import den, dirac
 from .equivalence import (
     _direct_step,
     branching_analysis,
-    check as relation_check,
+    decide,
     sqsubseteq,
 )
 from .parse import print_term
@@ -1079,7 +1079,7 @@ def prove_equal(left, right, budget: int = 100000):
         except BudgetExceededError:
             pass  # refute below; an equivalent pair raises again in equal
         if forms is None or forms[0].term != forms[1].term:
-            verdict = relation_check("rooted-branching", left, right)
+            verdict = decide("rooted-branching", left, right)
             if not verdict.equivalent:
                 return verdict
     steps = prover.equal(start, end, forms=forms)

@@ -31,7 +31,7 @@ from .dist import (
 from .equivalence import (
     Verdict,
     branching_equiv,
-    check as relation_check,
+    decide,
     is_concrete,
     is_rigid,
     strong_equiv,
@@ -511,10 +511,10 @@ def _gen_soundness(rng, cfg):
 
 def _check_soundness(inputs):
     before, after, axiom = inputs
-    if not relation_check("rooted-branching", before, after).equivalent:
+    if not decide("rooted-branching", before, after).equivalent:
         return (f"{axiom} preserves rooted-branching", "refuted")
     if AxiomId(axiom) in _UNCONDITIONAL:
-        if not relation_check("strong", before, after).equivalent:
+        if not decide("strong", before, after).equivalent:
             return (f"{axiom} preserves strong", "refuted")
     return None
 
@@ -539,13 +539,13 @@ def _check_congruence(inputs):
     ]
     left, right = contexts[which % len(contexts)]()
     for rel in ("strong", "rooted-branching"):
-        if not relation_check(rel, e, f).equivalent:
+        if not decide(rel, e, f).equivalent:
             continue
-        if not relation_check(rel, left, right).equivalent:
+        if not decide(rel, left, right).equivalent:
             return (f"{rel} congruence", "refuted")
-        if not relation_check(rel, e, e).equivalent:
+        if not decide(rel, e, e).equivalent:
             return (f"{rel} reflexivity", "refuted")
-        if not relation_check(rel, f, e).equivalent:
+        if not decide(rel, f, e).equivalent:
             return (f"{rel} symmetry", "refuted")
     return None
 
@@ -637,9 +637,9 @@ def _gen_inclusion(rng, cfg):
 
 def _check_inclusion(inputs):
     e, f = inputs
-    strong = relation_check("strong", e, f).equivalent
-    rooted = relation_check("rooted-branching", e, f).equivalent
-    branching = relation_check("branching", e, f).equivalent
+    strong = decide("strong", e, f).equivalent
+    rooted = decide("rooted-branching", e, f).equivalent
+    branching = decide("branching", e, f).equivalent
     if strong and not rooted:
         return ("strong implies rooted-branching", "refuted")
     if rooted and not branching:

@@ -28,6 +28,7 @@ from probranch.equivalence import (
     Verdict,
     branching_equiv,
     check,
+    decide,
     is_concrete,
     rooted_branching_equiv,
 )
@@ -646,7 +647,7 @@ def test_form_agrees_with_the_decider():
                                  ("rooted-branching", True)):
             prover = axioms._Prover()
             same = prover.form(left, rooted)[1] == prover.form(right, rooted)[1]
-            assert same == check(relation, left, right).equivalent, (
+            assert same == decide(relation, left, right).equivalent, (
                 relation, print_term(left), print_term(right))
             seen[relation].add(same)
     assert seen == {"strong": {True, False},

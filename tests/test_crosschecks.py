@@ -5,6 +5,7 @@ import itertools
 import random
 
 from probranch import equivalence
+from probranch.axioms import apply_axiom, canonical_pterm, normalize_nd
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
     INERT,
@@ -17,14 +18,24 @@ from probranch.equivalence import (
     _start_partition,
     branching_analysis,
     check,
+    decide,
     inertness,
     is_concrete,
     is_rigid,
+    normal_form,
     partition_from_classes,
     sqsubseteq,
     strong_partition,
 )
-from probranch.harness import GenConfig, gen_nd, gen_p, random_equivalent_pair
+from probranch.harness import (
+    _UNCONDITIONAL,
+    GenConfig,
+    _instances_at,
+    _positions,
+    gen_nd,
+    gen_p,
+    random_equivalent_pair,
+)
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
 from probranch.semantics import (
@@ -39,6 +50,7 @@ from probranch.terms import (
     ZERO_TERM,
     Action,
     Dirac,
+    NdTerm,
     PChoice,
     Prefix,
     Sum,
@@ -234,7 +246,7 @@ def test_rooted_check_matches_pairwise_oracle():
         silent = Prefix(TAU, Dirac(e))
         for left, right in ((e, f), (e, Sum(e, fresh)), (e, silent),
                             (e, Sum(e, silent))):
-            verdict = check("rooted-branching", left, right)
+            verdict = decide("rooted-branching", left, right)
             assert verdict.equivalent == _rooted_pair_ok(left, right), (
                 left, right)
             if verdict.equivalent:
@@ -747,3 +759,52 @@ def test_inertness_rigid_concrete_match_flow_oracle():
             assert is_concrete(Dirac(state)) == all(
                 seen[s] <= {NEITHER} for s in derivatives(state)), state
     assert kinds[PARTIALLY_INERT] >= 10 and kinds[INERT] > 0, kinds
+
+
+def _axiom_application(rng, axiom):
+    """A random term and that term with `axiom` applied at one of its
+    nodes, chosen at random among the places where it applies."""
+    while True:
+        cfg = GenConfig(seed=rng.randrange(2 ** 32), max_complexity=8)
+        term = gen_nd(cfg) if rng.random() < 0.5 else gen_p(cfg)
+        steps = [step for pos, node in _positions(term)
+                 for step in _instances_at(term, pos, node, rng, cfg)
+                 if step.axiom == axiom]
+        if steps:
+            return term, apply_axiom(term, rng.choice(steps))
+
+
+def _prover_form(term):
+    if isinstance(term, NdTerm):
+        return normalize_nd(term)[0]
+    return canonical_pterm(term)[0]
+
+
+def test_normal_form_matches_the_prover_and_the_deciders():
+    """check's step-free normal form meets exactly where the prover's
+    normalizers give one form, and pairs whose forms meet are equivalent
+    under all three deciders, over sound applications of every
+    unconditional axiom, sound-rewrite pairs and the same pairs with a
+    fresh summand z.D(0) on one side."""
+    rng = random.Random(25)
+    pairs = [_axiom_application(rng, axiom)
+             for axiom in _UNCONDITIONAL for _ in range(15)]
+    fresh = Prefix(Action("z"), Dirac(ZERO_TERM))
+    for _ in range(50):
+        cfg = GenConfig(seed=rng.randrange(2 ** 32), max_complexity=8)
+        pairs.append(random_equivalent_pair(rng, cfg,
+                                            sort=rng.choice(("p", "nd"))))
+        e, f = random_equivalent_pair(rng, cfg, sort="nd")
+        pairs.append((e, Sum(f, fresh)))
+    seen = set()
+    for left, right in pairs:
+        meet = normal_form(equivalence._as_dist(left)) == normal_form(
+            equivalence._as_dist(right))
+        assert meet == (_prover_form(left) == _prover_form(right)), (
+            left, right)
+        if meet:
+            for relation in ("strong", "branching", "rooted-branching"):
+                assert decide(relation, left, right).equivalent, (
+                    relation, left, right)
+        seen.add(meet)
+    assert len(pairs) >= 200 and seen == {True, False}

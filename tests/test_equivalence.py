@@ -2,12 +2,14 @@ from collections import Counter
 
 import pytest
 
+from probranch import equivalence
 from probranch.dist import den, derivatives, dirac, distribution, mix
 from probranch.equivalence import (
     INERT,
     NEITHER,
     PARTIALLY_INERT,
     ArgumentError,
+    Verdict,
     _pool,
     _profiles,
     _start_partition,
@@ -15,6 +17,7 @@ from probranch.equivalence import (
     branching_analysis,
     branching_equiv,
     check,
+    decide,
     inertness,
     is_concrete,
     is_rigid,
@@ -23,6 +26,7 @@ from probranch.equivalence import (
     strong_equiv,
     strong_partition,
 )
+from probranch.lp import LP
 from probranch.parse import parse_nd, parse_p
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
@@ -188,6 +192,33 @@ def test_rooted_zero_vs_tau_counterexample():
     e = nd("0 + b.D(0)")
     f = nd("tau.D(0) + b.D(0)")
     assert not check("rooted-branching", e, f).equivalent
+
+
+def test_check_solves_no_lp_where_forms_meet(monkeypatch):
+    """Branching and rooted-branching pairs whose normal forms meet are
+    answered without an LP; strong pairs, and the deciders themselves,
+    still solve them."""
+    equivalence._branching_analysis.cache_clear()
+    equivalence._strong_partition.cache_clear()
+    solves = []
+    minimize = LP.minimize
+
+    def counting(lp, objective):
+        solves.append(objective)
+        return minimize(lp, objective)
+
+    monkeypatch.setattr(LP, "minimize", counting)
+    left = nd("c.D(0) + b.D(a.D(0) + tau.D(0))")
+    right = nd("b.(D(tau.D(0) + a.D(0)) +[1/3] D(a.D(0) + 0 + tau.D(0)))"
+               " + c.D(0) + c.D(0)")
+    for relation in ("branching", "rooted-branching"):
+        assert check(relation, left, right) == Verdict(True, relation)
+    assert solves == []
+    assert check("strong", nd("a.D(0)"), nd("a.D(0) + a.D(0)")).equivalent
+    assert len(solves) >= 1
+    solves.clear()
+    assert decide("rooted-branching", left, right).equivalent
+    assert len(solves) >= 1
 
 
 def test_inclusion_chain_on_samples():

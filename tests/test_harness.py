@@ -1,5 +1,7 @@
 import pytest
 
+from probranch import equivalence
+from probranch.axioms import ProofTrace, prove_equal
 from probranch.dist import den, derivatives, dirac
 from probranch.equivalence import branching_equiv
 from probranch.harness import (
@@ -110,6 +112,24 @@ def test_suites_smoke(suite):
     assert report["suite"] == suite
     assert report["trials"] == 8
     assert report["failures"] == []
+
+
+def test_suites_and_prover_run_the_deciders(monkeypatch):
+    """The soundness, congruence and inclusion suites test the deciders,
+    and the prover has compared normal forms already, so none of them
+    takes check's normal-form shortcut: with the form function made to
+    raise, they all still run clean."""
+    def no_forms(mu):
+        raise RuntimeError("normal-form shortcut taken")
+
+    monkeypatch.setattr(equivalence, "normal_form", no_forms)
+    with pytest.raises(RuntimeError):
+        equivalence.check("rooted-branching", nd("a.D(0)"), nd("a.D(0)"))
+    cfg = GenConfig(seed=7, max_complexity=8)
+    for suite in ("soundness", "congruence", "inclusion_chain"):
+        assert run_property_suite(suite, 40, cfg)["failures"] == []
+    assert isinstance(prove_equal(nd("a.D(tau.D(b.D(0)))"),
+                                  nd("a.D(b.D(0))")), ProofTrace)
 
 
 def test_suite_reports_reproducible():

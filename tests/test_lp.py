@@ -6,7 +6,7 @@ from pathlib import Path
 
 import probranch
 from probranch import lp as lp_module
-from probranch.equivalence import check, is_concrete
+from probranch.equivalence import decide, is_concrete
 from probranch.harness import GenConfig, gen_nd
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
@@ -353,8 +353,8 @@ def test_engine_matches_dense_oracle_on_ratio_ties():
 
 
 def _recorded_lps(monkeypatch):
-    """Every LP that `check` and `is_concrete` solve on a few seeded
-    states, with the objective it was minimized under."""
+    """Every LP that the deciders and `is_concrete` solve on a few
+    seeded states, with the objective it was minimized under."""
     recorded = []
     minimize = LP.minimize
 
@@ -368,8 +368,8 @@ def _recorded_lps(monkeypatch):
         e = gen_nd(GenConfig(seed=seed, **cfg))
         f = gen_nd(GenConfig(seed=seed + 100, **cfg))
         for relation in ("strong", "rooted-branching"):
-            check(relation, e, f)
-            check(relation, e, Sum(e, f))
+            decide(relation, e, f)
+            decide(relation, e, Sum(e, f))
     for seed in range(12):
         e = gen_nd(GenConfig(seed=seed, **cfg))
         is_concrete(Dirac(Sum(e, Prefix(TAU, Dirac(e)))))

@@ -605,12 +605,17 @@ def _normalize_at(rw: _Rewriter, pos):
         _chain_drop_zeros(rw, pos)
 
 
-def normalize_nd(term: NdTerm, budget: int = 100000):
-    """Canonical form under A1-A4: flattened, sorted, duplicate- and
-    zero-free (deeply, through prefix bodies).  Returns (term, trace)."""
+def normalize_nd(term, budget: int = 100000):
+    """Canonical form under A1-A4 and P1-P3: flattened, sorted,
+    duplicate- and zero-free (deeply, through prefix bodies); a
+    probabilistic term's is its canonical spine.  Returns (term, trace)."""
     rw = _Rewriter(term, _Budget(budget))
     _normalize_at(rw, [])
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
+
+
+# a probabilistic term's canonical spine, with its trace
+canonical_pterm = normalize_nd
 
 
 def normalize_p(term: PTerm, budget: int = 100000):
@@ -620,13 +625,6 @@ def normalize_p(term: PTerm, budget: int = 100000):
     spine, trace = canonical_pterm(term, budget)
     return tuple((w, comp.body) for w, comp in zip(
         _spine_weights(spine), _items(_CHOICES, spine))), trace
-
-
-def canonical_pterm(term: PTerm, budget: int = 100000):
-    """The canonical spine itself plus its trace."""
-    rw = _Rewriter(term, _Budget(budget))
-    _normalize_at(rw, [])
-    return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ of states that can reach the same visible actions: branching
 bisimilarity preserves weak traces and strong bisimilarity is contained
 in it, so both relations refine that start, and the coarsest stable
 refinement of a partition that a bisimilarity refines is the
-bisimilarity itself.  The same bottom-up pass gives each state a shape,
-an interned id of its transitions read as actions and target masses per
-shape.  States of one shape are strongly bisimilar, so refinement never
-splits them: a round profiles the first member of each shape in a class
-and hands its profile to the others, and the rooted step does the same.
+bisimilarity itself.  A state's `shape` is its form modulo A1-A4/P1-P3:
+the set of its transitions, each read as its action and the `form` of
+its target, the target's masses per shape.  States of one shape are
+strongly bisimilar, so refinement never splits them: a round profiles
+the first member of each shape in a class and hands its profile to the
+others, and the rooted step does the same.  Shapes and reachable
+actions (`reach`) are kept on the state node, like its order key.
 
 * strong — a state pair survives iff every transition of one is matched
   by a combined transition of the other with the same class-mass vector.
@@ -60,10 +62,9 @@ distributions are branching bisimilar; distribution-level equivalence
 additionally identifies a point distribution with the mixture it
 silently dissolves into, which the stable signature captures.
 
-`check` answers a branching or rooted-branching pair whose normal
-forms modulo A1-A4/P1-P3 meet (`normal_form`, built without proof
-steps) as equivalent, since those axioms are sound; every other pair
-goes to `decide`, the deciders' one entry.
+`check` answers a branching or rooted-branching pair whose forms meet
+(`_forms_meet`, no proof steps) as equivalent, since A1-A4/P1-P3 are
+sound; every other pair goes to `decide`, the deciders' one entry.
 
 Outside refinement, `inertness`, `is_rigid`, `is_concrete` and the
 prover read inertness off the final branching tables of the state's
@@ -167,13 +168,10 @@ def _sig_dict(partition: Partition, sig: tuple) -> dict:
 class _Tables:
     """Inertness classification and stable signatures for a fixed
     partition over its universe; on the final branching partition,
-    `dissolves` and `equivalent_fraction` answer inertness questions.
-    `shapes` are the universe's shapes from _start_partition, kept for
-    the rooted step."""
+    `dissolves` and `equivalent_fraction` answer inertness questions."""
 
-    def __init__(self, partition: Partition, shapes: dict):
+    def __init__(self, partition: Partition):
         self.partition = partition
-        self.shapes = shapes
         self.inert: dict = {}
         self.unstable: set = set()
         self.stabsig_state: dict = {}
@@ -354,7 +352,7 @@ def _pool(check, ctx, members) -> tuple:
     return pool, mids
 
 
-def _profiles(check, ctx, members: list, shapes: dict) -> dict:
+def _profiles(check, ctx, members: list) -> dict:
     """Group members by the (challenge, mid) combinations of their pool
     they can answer: {(mid, answered): [member, ...]}.  A single member
     is its own group: no LP is solved for it.  Members of one shape are
@@ -364,69 +362,74 @@ def _profiles(check, ctx, members: list, shapes: dict) -> dict:
         return {None: list(members)}
     first: dict = {}
     for m in members:
-        first.setdefault(shapes[m], m)
+        first.setdefault(shape(m), m)
     pool, mids = _pool(check, ctx, first.values())
     profile = {
-        shape: (check.mid_of(ctx, m), frozenset(
+        k: (check.mid_of(ctx, m), frozenset(
             (action, end, mid)
             for action, end in pool for mid in mids
             if check.respond(ctx, m, action, end, mid)))
-        for shape, m in first.items()}
+        for k, m in first.items()}
     profiles: dict = {}
     for m in members:
-        profiles.setdefault(profile[shapes[m]], []).append(m)
+        profiles.setdefault(profile[shape(m)], []).append(m)
     return profiles
 
 
 def _split_action(check, ctx, one: NdTerm, other: NdTerm) -> list:
     """The action that tells two states of different classes apart, as
     an action path: the smallest action of a (challenge, mid) of their
-    joint pool that exactly one of them answers, or, when only their mid
-    signatures differ, the smallest action of the pool.  The pool is in
-    action order, so the first difference found is the smallest.  On
-    the partition that decided, the fallback is never reached: two
-    states that answer the same (challenge, mid) combinations answer
-    each other's challenges with their own mids, so they are bisimilar
-    and share a class."""
+    joint pool that exactly one of them answers.  The pool is in action
+    order, so the first difference found is the smallest."""
     pool, mids = _pool(check, ctx, [one, other])
-    for action, end in pool:
-        for mid in mids:
-            if (not check.respond(ctx, one, action, end, mid)) != (
-                    not check.respond(ctx, other, action, end, mid)):
-                return [action.name]
-    return [pool[0][0].name] if pool else []
+    return next([action.name] for action, end in pool for mid in mids
+                if (not check.respond(ctx, one, action, end, mid)) != (
+                    not check.respond(ctx, other, action, end, mid)))
 
 
-def _start_partition(states) -> tuple:
-    """The start partition of refinement and the states' shapes.
-
-    The classes hold states with the same set of visible actions anywhere
-    in their derivatives.  A state's shape is an interned id of its
-    transitions, each read as its action and its target's mass per shape.
-    States of one shape have the same transitions up to states of one
-    shape, so they are strongly bisimilar, and bisimilar under all three
-    relations.  Every step lowers complexity, so one bottom-up pass sees
-    each state after all of its targets."""
-    reach: dict = {}
-    shapes: dict = {}
-    ids: dict = {}
-    for s in sorted(states, key=lambda s: (complexity(s), nd_key(s))):
-        actions = set()
+def shape(state: NdTerm) -> frozenset:
+    """The state's form modulo A1-A4/P1-P3, kept on the node: the set of
+    its transitions, each read as its action and its target's `form`.
+    States of one shape are strongly bisimilar, so bisimilar under all
+    three relations."""
+    out = state._shape
+    if out is None:
         moves = set()
-        for tr in nd_transitions(s):
+        for tr in nd_transitions(state):
+            moves.add((tr.action, form(tr.target)))
+        out = state.__dict__["_shape"] = frozenset(moves)
+    return out
+
+
+def form(mu: Distribution) -> frozenset:
+    """mu's form modulo A1-A4/P1-P3: its masses per shape."""
+    masses: dict = {}
+    for s, m in mu.entries:
+        masses[shape(s)] = masses.get(shape(s), ZERO) + m
+    return frozenset(masses.items())
+
+
+def reach(state: NdTerm) -> frozenset:
+    """The visible actions of the state's derivatives, kept on the node."""
+    out = state._reach
+    if out is None:
+        actions = set()
+        for tr in nd_transitions(state):
             if not tr.action.is_tau:
                 actions.add(tr.action)
-            masses: dict = {}
-            for t, m in tr.target.entries:
-                actions |= reach[t]
-                masses[shapes[t]] = masses.get(shapes[t], ZERO) + m
-            moves.add((tr.action, frozenset(masses.items())))
-        reach[s] = frozenset(actions)
-        shapes[s] = ids.setdefault(frozenset(moves), len(ids))
+            for t in tr.target.support:
+                actions |= reach(t)
+        out = state.__dict__["_reach"] = frozenset(actions)
+    return out
+
+
+def _start_partition(states) -> Partition:
+    """The start partition of refinement: the classes hold states with
+    the same `reach`."""
     groups: dict = {}
-    for s, actions in reach.items():
-        groups.setdefault(actions, set()).add(s)
-    return partition_from_classes(groups.values()), shapes
+    for s in states:
+        groups.setdefault(reach(s), set()).add(s)
+    return partition_from_classes(groups.values())
 
 
 def _refine(check, states: frozenset):
@@ -441,12 +444,12 @@ def _refine(check, states: frozenset):
     profiles imply the mutual transfer condition; grouping by profile is
     order-independent.
     """
-    partition, shapes = _start_partition(states)
+    partition = _start_partition(states)
     while True:
-        ctx = check.context(partition, shapes)
+        ctx = check.context(partition)
         new_classes = []
         for cls in partition.classes:
-            profiles = _profiles(check, ctx, sorted(cls, key=nd_key), shapes)
+            profiles = _profiles(check, ctx, sorted(cls, key=nd_key))
             new_classes.extend(frozenset(g) for g in profiles.values())
         if len(new_classes) == len(partition.classes):
             return partition, ctx
@@ -454,8 +457,8 @@ def _refine(check, states: frozenset):
 
 
 class _BranchingCheck:
-    def context(self, partition: Partition, shapes: dict) -> _Tables:
-        return _Tables(partition, shapes)
+    def context(self, partition: Partition) -> _Tables:
+        return _Tables(partition)
 
     def challenge_sig(self, tables: _Tables, target: Distribution):
         return tables.stab_sig(target)
@@ -527,7 +530,7 @@ class _StrongCheck:
     def __init__(self, signature=Partition.sig):
         self.signature = signature
 
-    def context(self, partition: Partition, shapes: dict):
+    def context(self, partition: Partition):
         return partition
 
     def challenge_sig(self, ctx, target: Distribution):
@@ -620,7 +623,7 @@ def rooted_partition_over(tables: _Tables,
     groups = []
     for members in by_class.values():
         groups.extend(
-            _profiles(_ROOTED_CHECK, tables, members, tables.shapes).values())
+            _profiles(_ROOTED_CHECK, tables, members).values())
     return partition_from_classes(groups)
 
 
@@ -644,19 +647,6 @@ def _as_dist(term) -> Distribution:
     return den(term) if isinstance(term, PTerm) else dirac(term)
 
 
-def normal_form(mu: Distribution) -> frozenset:
-    """mu's normal form modulo A1-A4/P1-P3, with no proof steps: its
-    masses per state form, merged.  A state's form is the set of its
-    summands as (action, form of den(body)), 0 dropped.  Two terms have
-    one form iff the prover's normalizers give them one form."""
-    masses: dict = {}
-    for s, m in mu.entries:
-        form = frozenset((tr.action, normal_form(tr.target))
-                         for tr in nd_transitions(s))
-        masses[form] = masses.get(form, ZERO) + m
-    return frozenset(masses.items())
-
-
 def decide(relation: str, left, right) -> Verdict:
     """Run the named relation's decider over terms of either sort."""
     decider = {"strong": strong_equiv, "branching": branching_equiv,
@@ -666,16 +656,22 @@ def decide(relation: str, left, right) -> Verdict:
     return decider(_as_dist(left), _as_dist(right))
 
 
+def _forms_meet(left, right) -> bool:
+    """Do the two sides have one form modulo A1-A4/P1-P3?  Two terms do
+    iff the prover's normalizers give them one form."""
+    return form(_as_dist(left)) == form(_as_dist(right))
+
+
 def check(relation: str, left, right) -> Verdict:
     """Decide a named relation over terms of either sort.
 
     A1-A4/P1-P3 are sound for every relation, so a branching or
-    rooted-branching pair whose normal forms meet is equivalent, and no
-    decider runs.  Strong pairs always go to the decider, for now:
+    rooted-branching pair whose forms meet is equivalent, and no decider
+    runs.  Strong pairs always go to the decider, for now:
     perfbench/test_bench.py needs its strong query, whose forms meet,
     to solve an LP."""
-    if relation in ("branching", "rooted-branching") and (
-            normal_form(_as_dist(left)) == normal_form(_as_dist(right))):
+    if relation in ("branching", "rooted-branching") and _forms_meet(
+            left, right):
         return Verdict(True, relation)
     return decide(relation, left, right)
 

@@ -21,6 +21,10 @@ dicts iterate as they would without the cache.  Nothing is computed at
 construction: the first hash of a term recurses one frame per node,
 exactly as the generated hash does.  The cached values never leave the
 process: a pickled node is rebuilt from its fields.
+
+A state (an NdTerm) keeps two more facts, filled in by equivalence.py:
+its shape, its form modulo A1-A4/P1-P3 (``equivalence.shape``), and its
+reach, the visible actions of its derivatives (``equivalence.reach``).
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class NdTerm(Hashed):
     __slots__ = ()
     _nd_key = None
     _complexity = None
+    _shape = None
+    _reach = None
 
 
 class PTerm(Hashed):
@@ -107,6 +113,8 @@ class Zero(NdTerm):
     __slots__ = ()
     _nd_key = (0,)
     _complexity = 0
+    _shape = frozenset()
+    _reach = frozenset()
 
     def __hash__(self):
         return _ZERO_HASH

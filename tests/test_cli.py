@@ -383,17 +383,38 @@ def test_reader_agrees_with_argparse(capsys):
     assert read and declined
 
 
-def test_well_formed_check_imports_no_locale():
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("relation", ["branching", "rooted-branching"])
+def test_depth_150_chain_checks_against_itself(relation):
+    """A depth-150 a.D(...) chain checks equivalent to itself in a fresh
+    interpreter at the default recursion limit: the facts each node
+    keeps are computed with that much headroom."""
+    deep = "a.D(" * 150 + "0" + ")" * 150
+    code = ("import sys\n"
+            "from probranch.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "check", "--rel", relation,
+         "--left", deep, "--right", deep],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"equivalent ({relation})\n"
+
+
+def test_well_formed_check_imports_no_locale():
     code = ("import sys\n"
             "from probranch.cli import main\n"
             "assert main(['check', '--rel', 'strong', '--left', 'a.D(0)',"
             " '--right', 'a.D(0)']) == 0\n"
             "print('locale' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "equivalent (strong)\nFalse\n"

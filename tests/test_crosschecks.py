@@ -19,11 +19,12 @@ from probranch.equivalence import (
     branching_analysis,
     check,
     decide,
+    form,
     inertness,
     is_concrete,
     is_rigid,
-    normal_form,
     partition_from_classes,
+    shape,
     sqsubseteq,
     strong_partition,
 )
@@ -451,13 +452,11 @@ def test_random_roundtrip_parse_print():
 def _refine_from_one_class(check, roots):
     """The refinement loop started from one class that holds every state
     and profiling every member of every class: the oracle for the
-    decider's start partition and shapes.  Its context gives each state
-    a shape of its own."""
+    decider's start partition and its one profile per shape."""
     states = frozenset().union(*(derivatives(r) for r in roots))
-    own = {s: k for k, s in enumerate(sorted(states, key=nd_key))}
     partition = partition_from_classes([states])
     while True:
-        ctx = check.context(partition, own)
+        ctx = check.context(partition)
         groups = []
         for cls in partition.classes:
             members = sorted(cls, key=nd_key)
@@ -537,8 +536,8 @@ def test_start_partition_gives_the_one_class_fixpoint():
         axiom = ("A1", "A2", "P1")[k % 3]
         roots = roots | {_variant(r, axiom) for r in roots}
         states = frozenset().union(*(derivatives(r) for r in roots))
-        start, shapes = _start_partition(states)
-        shared += len(states) - len(set(shapes.values()))
+        start = _start_partition(states)
+        shared += len(states) - len({shape(s) for s in states})
         strong, _ = _refine_from_one_class(_StrongCheck(), roots)
         assert equivalence.strong_partition(roots) == strong, roots
         partition, tables = _refine_from_one_class(_BranchingCheck(), roots)
@@ -550,7 +549,7 @@ def test_start_partition_gives_the_one_class_fixpoint():
             assert len({start.index_of(s) for s in cls}) == 1, (roots, cls)
         by_shape = {}
         for s in states:
-            by_shape.setdefault(shapes[s], set()).add(strong.index_of(s))
+            by_shape.setdefault(shape(s), set()).add(strong.index_of(s))
         assert all(len(ks) == 1 for ks in by_shape.values()), roots
     assert shared > 150, shared
 
@@ -741,7 +740,7 @@ def test_inertness_rigid_concrete_match_flow_oracle():
     kinds = {INERT: 0, PARTIALLY_INERT: 0, NEITHER: 0}
     for roots in root_sets:
         final = branching_analysis(roots)
-        tables = equivalence._Tables(final.partition, final.shapes)
+        tables = equivalence._Tables(final.partition)
         seen = {}
         for state in tables.partition.universe:
             seen[state] = set()
@@ -781,7 +780,7 @@ def _prover_form(term):
 
 
 def test_normal_form_matches_the_prover_and_the_deciders():
-    """check's step-free normal form meets exactly where the prover's
+    """check's step-free form meets exactly where the prover's
     normalizers give one form, and pairs whose forms meet are equivalent
     under all three deciders, over sound applications of every
     unconditional axiom, sound-rewrite pairs and the same pairs with a
@@ -798,7 +797,7 @@ def test_normal_form_matches_the_prover_and_the_deciders():
         pairs.append((e, Sum(f, fresh)))
     seen = set()
     for left, right in pairs:
-        meet = normal_form(equivalence._as_dist(left)) == normal_form(
+        meet = form(equivalence._as_dist(left)) == form(
             equivalence._as_dist(right))
         assert meet == (_prover_form(left) == _prover_form(right)), (
             left, right)

@@ -21,11 +21,14 @@ from probranch.equivalence import (
     inertness,
     is_concrete,
     is_rigid,
+    reach,
     rooted_branching_equiv,
+    shape,
     sqsubseteq,
     strong_equiv,
     strong_partition,
 )
+from probranch.harness import GenConfig, gen_nd, gen_p
 from probranch.lp import LP
 from probranch.parse import parse_nd, parse_p
 from probranch.rat import ONE, rat
@@ -56,11 +59,11 @@ def test_profiles_ask_one_member_per_shape():
         "a.D(b.D(0) + c.D(0)) + a.D(c.D(0) + b.D(0))",
         "a.D(b.D(0)) + a.D(c.D(0))", "a.D(c.D(0)) + a.D(b.D(0))"]),
         key=nd_key)
-    partition, shapes = _start_partition(
+    partition = _start_partition(
         frozenset().union(*map(derivatives, members)))
     first = {}
     for m in members:
-        first.setdefault(shapes[m], m)
+        first.setdefault(shape(m), m)
     assert len(first) == 2
     asked = Counter()
 
@@ -69,11 +72,36 @@ def test_profiles_ask_one_member_per_shape():
             asked[state] += 1
             return super().respond(ctx, state, *question)
 
-    groups = _profiles(Counting(), partition, members, shapes)
+    groups = _profiles(Counting(), partition, members)
     pool, mids = _pool(_StrongCheck(), partition, members)
     assert asked == {m: len(pool) * len(mids) for m in first.values()}
     assert sorted(map(len, groups.values())) == [2, 3]
-    assert all(len({shapes[m] for m in g}) == 1 for g in groups.values())
+    assert all(len({shape(m) for m in g}) == 1 for g in groups.values())
+
+
+def test_reach_is_the_visible_actions_of_the_derivatives():
+    """reach(s) is the set of visible actions of every derivative of s,
+    on the states of seeded terms of both sorts."""
+    for seed in range(40):
+        cfg = GenConfig(seed=seed, max_complexity=9)
+        for term in (gen_nd(cfg), gen_p(cfg)):
+            for s in derivatives(term):
+                assert reach(s) == {
+                    tr.action for d in derivatives(s)
+                    for tr in nd_transitions(d) if not tr.action.is_tau}, s
+
+
+def test_shape_is_kept_on_the_node(monkeypatch):
+    """A second shape(s) is the first one's object and asks for no
+    transitions."""
+    state = nd("a.D(b.D(0)) + tau.(D(c.D(0)) +[1/3] D(0))")
+    first = shape(state)
+
+    def no_transitions(state):
+        raise AssertionError("transitions asked for again")
+
+    monkeypatch.setattr(equivalence, "nd_transitions", no_transitions)
+    assert shape(state) is first
 
 
 def test_strong_idempotent_sum():

@@ -117,12 +117,12 @@ def test_suites_smoke(suite):
 def test_suites_and_prover_run_the_deciders(monkeypatch):
     """The soundness, congruence and inclusion suites test the deciders,
     and the prover has compared normal forms already, so none of them
-    takes check's normal-form shortcut: with the form function made to
+    takes check's normal-form shortcut: with the form comparison made to
     raise, they all still run clean."""
-    def no_forms(mu):
+    def no_forms(left, right):
         raise RuntimeError("normal-form shortcut taken")
 
-    monkeypatch.setattr(equivalence, "normal_form", no_forms)
+    monkeypatch.setattr(equivalence, "_forms_meet", no_forms)
     with pytest.raises(RuntimeError):
         equivalence.check("rooted-branching", nd("a.D(0)"), nd("a.D(0)"))
     cfg = GenConfig(seed=7, max_complexity=8)

@@ -127,6 +127,15 @@ def _cases() -> dict:
     cases["concretize.partially-inert"] = lambda: _text(*concretize(parse_p(
         "D(tau.(D(b.D(c.D(0)) + tau.D(d.D(0))) +[1/3] D(d.D(0))) "
         "+ b.D(c.D(0)) + tau.D(d.D(0)))")))
+    # an inert silent summand alone (SBP1) and in a spine (BP), and the
+    # partially inert example in a spine (G without a P3 split)
+    cases["concretize.sbp1"] = lambda: _text(*concretize(parse_p(
+        "D(a.D(0) + tau.D(a.D(0)))")))
+    cases["concretize.bp"] = lambda: _text(*concretize(parse_p(
+        "D(a.D(0) + tau.D(a.D(0))) +[1/2] D(b.D(0))")))
+    cases["concretize.spine-g"] = lambda: _text(*concretize(parse_p(
+        "D(tau.(D(b.D(c.D(0)) + tau.D(d.D(0))) +[1/3] D(d.D(0))) "
+        "+ b.D(c.D(0)) + tau.D(d.D(0))) +[1/2] D(e.D(0))")))
     return cases
 
 

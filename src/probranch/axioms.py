@@ -29,6 +29,7 @@ from typing import Optional
 
 from .dist import den, dirac
 from .equivalence import (
+    PARTIALLY_INERT,
     _direct_step,
     branching_analysis,
     decide,
@@ -614,15 +615,11 @@ def normalize_nd(term, budget: int = 100000):
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
 
 
-# a probabilistic term's canonical spine, with its trace
-canonical_pterm = normalize_nd
-
-
 def normalize_p(term: PTerm, budget: int = 100000):
     """Canonical flat probabilistic form: a right-nested spine of Dirac
     components with normalized, sorted, distinct states.  Returns the
     flat decomposition [(mass, state), ...] plus the trace."""
-    spine, trace = canonical_pterm(term, budget)
+    spine, trace = normalize_nd(term, budget)
     return tuple((w, comp.body) for w, comp in zip(
         _spine_weights(spine), _items(_CHOICES, spine))), trace
 
@@ -631,69 +628,64 @@ def normalize_p(term: PTerm, budget: int = 100000):
 # Derived simplified laws (Lemma-8 style chains)
 
 
-def derived_simple_bp(variant: int, term, budget: int = 100000):
-    """Expand one of the derived laws into its primitive chain.
+def _is_tau_prefix(term) -> bool:
+    return isinstance(term, Prefix) and term.action.is_tau
 
-    variant 1: a.D(E + tau.P) = a.P        (needs E matched-by P)
-    variant 2: a.(D(tau.P) +[r] R) = a.(P +[r] R)
-    variant 3: a.D(tau.P) = a.P
+
+def derived_simple_bp(term, budget: int = 100000):
+    """Expand the derived law that the term's shape names into its
+    primitive chain:
+
+        law 1: a.D(E + tau.P) = a.P        (needs E matched-by P)
+        law 2: a.(D(tau.P) +[r] R) = a.(P +[r] R)
+        law 3: a.D(tau.P) = a.P
+
+    Laws 1 and 3 apply BP and law 2 to both halves of a P3 split.
     """
+    if not isinstance(term, Prefix):
+        raise ShapeError("expected a prefix")
+    alpha, body = term.action, term.body
     rw = _Rewriter(term, _Budget(budget))
-    if variant == 1:
-        shape = term
-        if not (isinstance(shape, Prefix) and isinstance(shape.body, Dirac)
-                and isinstance(shape.body.body, Sum)
-                and isinstance(shape.body.body.right, Prefix)
-                and shape.body.body.right.action.is_tau):
-            raise ShapeError("expected a.D(E + tau.P)")
-        alpha = shape.action
-        e = shape.body.body.left
-        p = shape.body.body.right.body
+    if isinstance(body, PChoice) and isinstance(body.left, Dirac) \
+            and _is_tau_prefix(body.left.body):
+        _sbp2_chain(rw, alpha)
+    elif isinstance(body, Dirac) and _is_tau_prefix(body.body):
+        _sandwich(rw, lambda: _sbp2_chain(rw, alpha))
+    elif isinstance(body, Dirac) and isinstance(body.body, Sum) \
+            and _is_tau_prefix(body.body.right):
+        e, p = body.body.left, body.body.right.body
         if not sqsubseteq(e, p):
-            raise SideConditionError("variant 1: E is not matched by P")
-        half = rat(1, 2)
-        rw.apply(AxiomId.P3, [0], "RL", {"P": shape.body, "r": half})
-        rw.apply(AxiomId.BP, [], "LR",
-                 {"alpha": alpha, "E": e, "P": p, "Q": shape.body, "r": half})
-        _CHOICES.commute(rw, [0])
-        rw.apply(AxiomId.BP, [], "LR",
-                 {"alpha": alpha, "E": e, "P": p, "Q": p, "r": half})
-        _CHOICES.merge(rw, [0])
-    elif variant == 2:
-        shape = term
-        if not (isinstance(shape, Prefix) and isinstance(shape.body, PChoice)
-                and isinstance(shape.body.left, Dirac)
-                and isinstance(shape.body.left.body, Prefix)
-                and shape.body.left.body.action.is_tau):
-            raise ShapeError("expected a.(D(tau.P) +[r] R)")
-        _sbp2_chain(rw, [], shape.action)
-    elif variant == 3:
-        shape = term
-        if not (isinstance(shape, Prefix) and isinstance(shape.body, Dirac)
-                and isinstance(shape.body.body, Prefix)
-                and shape.body.body.action.is_tau):
-            raise ShapeError("expected a.D(tau.P)")
-        rw.apply(AxiomId.P3, [0], "RL", {"P": shape.body, "r": rat(1, 2)})
-        _sbp2_chain(rw, [], shape.action)
-        _CHOICES.commute(rw, [0])
-        _sbp2_chain(rw, [], shape.action)
-        _CHOICES.merge(rw, [0])
+            raise SideConditionError("law 1: E is not matched by P")
+        _sandwich(rw, lambda: rw.apply(AxiomId.BP, [], "LR", {
+            "alpha": alpha, "E": e, "P": p, "Q": rw.at([0, 1]),
+            "r": rw.at([0]).weight}))
     else:
-        raise ValueError("variant must be 1, 2 or 3")
+        raise ShapeError(
+            "expected a.D(E + tau.P), a.(D(tau.P) +[r] R) or a.D(tau.P)")
     return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
 
 
-def _sbp2_chain(rw: _Rewriter, pos, alpha):
-    """A4 then BP: a.(D(tau.P) +[r] R) = a.(P +[r] R) at pos."""
-    shape = rw.at(pos)
+def _sbp2_chain(rw: _Rewriter, alpha):
+    """A4 then BP: a.(D(tau.P) +[r] R) = a.(P +[r] R) at the root."""
+    shape = rw.term
     tau_state = shape.body.left.body
-    p = tau_state.body
-    r = shape.body.weight
-    rest = shape.body.right
-    rw.apply(AxiomId.A4, list(pos) + [0, 0, 0], "RL", {"E": tau_state})
-    _SUMS.commute(rw, list(pos) + [0, 0, 0])
-    rw.apply(AxiomId.BP, pos, "LR",
-             {"alpha": alpha, "E": ZERO_TERM, "P": p, "Q": rest, "r": r})
+    rw.apply(AxiomId.A4, [0, 0, 0], "RL", {"E": tau_state})
+    _SUMS.commute(rw, [0, 0, 0])
+    rw.apply(AxiomId.BP, [], "LR",
+             {"alpha": alpha, "E": ZERO_TERM, "P": tau_state.body,
+              "Q": shape.body.right, "r": shape.body.weight})
+
+
+def _sandwich(rw: _Rewriter, law):
+    """Rewrite a.P to a.P' where `law` rewrites a.(P (+r) Q) to
+    a.(P' (+r) Q) at the root: split P in two halves by P3 right to
+    left, apply the law to each half in turn, swapping the halves by P1
+    between, and merge the equal halves by P3."""
+    rw.apply(AxiomId.P3, [0], "RL", {"P": rw.at([0]), "r": rat(1, 2)})
+    law()
+    _CHOICES.commute(rw, [0])
+    law()
+    _CHOICES.merge(rw, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +742,12 @@ def _mixture(items, j):
 
 
 class _Prover:
-    """Shared memoized engine behind the concretizers and prove_equal."""
+    """Shared memoized engine behind the concretizers and prove_equal.
+
+    conc_prefix concretizes a prefix body one state at a time, each by
+    the one step _conc_state: on the body D(E) alone, or on the front
+    component of a spine D(E) (+w) Rest, into which each component is
+    moved in turn."""
 
     def __init__(self, budget: int = 100000):
         self.budget = _Budget(budget)
@@ -842,13 +839,13 @@ class _Prover:
         _normalize_at(rw, [0])
         spine = _items(_CHOICES, rw.at([0]))
         if len(spine) == 1:
-            self._conc_state_bare(rw, action)
+            self._conc_state(rw, action, spine=False)
         else:
             for _ in range(len(spine)):
                 _reassociate(rw, _CHOICES, [0])
                 m = len(_items(_CHOICES, rw.at([0])))
                 _move(rw, _CHOICES, [0], m - 1, 0)
-                self._conc_state_front(rw, action)
+                self._conc_state(rw, action, spine=True)
             _reassociate(rw, _CHOICES, [0])
             _sort_merge(rw, _CHOICES, [0])
         pbar = rw.term.body
@@ -866,101 +863,54 @@ class _Prover:
             if pbar != s.body:
                 rw.splice(_elem_pos(_SUMS, base, len(items), j), sub_steps)
 
-    def _find_inert_summand(self, items, state):
-        """Index of a silent summand whose body dissolves the whole state,
-        plus the side condition needed for its discharge."""
-        tables = branching_analysis({state})
-        for j, s in enumerate(items):
-            if (isinstance(s, Prefix) and s.action.is_tau
-                    and tables.dissolves(state, den(s.body))
-                    and (len(items) == 1 or sqsubseteq(
-                        reduce(Sum, items[:j] + items[j + 1:]), s.body))):
-                return j
-        return None
-
-    def _find_partially_inert(self, items, state):
-        """Index of the first silent summand whose body's equivalent
-        fraction lies strictly between 0 and 1, as for inertness."""
-        tables = branching_analysis({state})
-        ref = tables.stabsig_state[state]
-        for j, s in enumerate(items):
-            if (isinstance(s, Prefix) and s.action.is_tau
-                    and ZERO < tables.equivalent_fraction(den(s.body), ref)
-                    < ONE):
-                return j
-        return None
-
-    def _conc_state_front(self, rw: _Rewriter, action: Action):
-        """Concretize the Dirac component at the front of the choice spine
-        under the prefix: body = D(E) (+w) Rest."""
-        base = [0, 0, 0]
-        if isinstance(rw.at(base), Zero):
-            return
-        while True:
-            _reassociate(rw, _SUMS, base)
+    def _conc_state(self, rw: _Rewriter, action: Action, spine: bool):
+        """Concretize the state E of the body D(E) under the prefix, or in
+        a spine of the front component of the body D(E) (+w) Rest.  Its
+        continuations are concretized first.  A silent summand whose
+        body dissolves E, and which the other summands are matched by,
+        is removed with its prefix: by SBP2 or BP in a spine and by SBP3
+        or SBP1 alone, and E is then done.  A partially inert one is
+        dropped as it stands: by G in a spine, after which the rest of E
+        is concretized in turn, and alone by the same spine step on both
+        halves of a P3 split."""
+        base = [0, 0, 0] if spine else [0, 0]
+        while not isinstance(rw.at(base), Zero):
             self._concretize_continuations(rw, base)
             state = rw.at(base)
             items = summands(state)
-            j = self._find_inert_summand(items, state)
+            tables = branching_analysis({state})
+            j = next((j for j, s in enumerate(items) if _is_tau_prefix(s)
+                      and tables.dissolves(state, den(s.body))
+                      and (len(items) == 1 or sqsubseteq(
+                          reduce(Sum, items[:j] + items[j + 1:]), s.body))),
+                     None)
             if j is not None:
-                w = rw.at([0]).weight
-                rest = rw.at([0, 1])
-                body = items[j].body
-                if len(items) == 1:
-                    rw.apply(AxiomId.SBP2, [], "LR",
-                             {"alpha": action, "P": body, "r": w, "R": rest})
-                else:
+                alone = len(items) == 1
+                sub = {"alpha": action, "P": items[j].body}
+                if not alone:
                     _move(rw, _SUMS, base, j, len(items) - 1)
-                    h_term = rw.at(base + [0])
-                    rw.apply(AxiomId.BP, [], "LR",
-                             {"alpha": action, "E": h_term, "P": body,
-                              "Q": rest, "r": w})
+                    sub["E"] = rw.at(base + [0])
+                if spine:
+                    sub["r"] = rw.at([0]).weight
+                    sub["R" if alone else "Q"] = rw.at([0, 1])
+                law = ((AxiomId.SBP1, AxiomId.BP),
+                       (AxiomId.SBP3, AxiomId.SBP2))[alone][spine]
+                rw.apply(law, [], "LR", sub)
                 return
-            j = self._find_partially_inert(items, state)
+            j = next((j for j, s in enumerate(items) if _is_tau_prefix(s)
+                      and tables.inertness(state, den(s.body)).kind
+                      == PARTIALLY_INERT), None)
             if j is None:
-                return  # state is concrete; component stays a Dirac
+                return  # E is concrete
+            if not spine:
+                _sandwich(rw, lambda: self._conc_state(rw, action, True))
+                return
             _move(rw, _SUMS, base, j, 0)
             _reassociate(rw, _SUMS, base, side=1)
-            tau_summand = rw.at(base + [0])
-            h_term = rw.at(base + [1])
-            w = rw.at([0]).weight
-            rest = rw.at([0, 1])
             rw.apply(AxiomId.G, [], "LR",
-                     {"alpha": action, "E": tau_summand, "F": h_term,
-                      "Q": rest, "r": w})
-            # loop: the new front state is h_term with one partially
-            # inert summand fewer
-
-    def _conc_state_bare(self, rw: _Rewriter, action: Action):
-        """Concretize body = D(E) directly under the prefix."""
-        base = [0, 0]
-        if isinstance(rw.at(base), Zero):
-            return
-        self._concretize_continuations(rw, base)
-        state = rw.at(base)
-        items = summands(state)
-        j = self._find_inert_summand(items, state)
-        if j is not None:
-            body = items[j].body
-            if len(items) == 1:
-                rw.apply(AxiomId.SBP3, [], "LR", {"alpha": action, "P": body})
-            else:
-                _move(rw, _SUMS, base, j, len(items) - 1)
-                h_term = rw.at(base + [0])
-                rw.apply(AxiomId.SBP1, [], "LR",
-                         {"alpha": action, "E": h_term, "P": body})
-            return
-        if self._find_partially_inert(items, state) is None:
-            return  # already concrete
-        # sandwich: duplicate the component so the choice-context laws apply
-        half = rat(1, 2)
-        rw.apply(AxiomId.P3, [0], "RL", {"P": rw.at([0]), "r": half})
-        self._conc_state_front(rw, action)
-        _CHOICES.commute(rw, [0])
-        self._conc_state_front(rw, action)
-        if rw.at([0]).left != rw.at([0]).right:
-            raise ValueError("sandwich halves diverged during concretization")
-        _CHOICES.merge(rw, [0])
+                     {"alpha": action, "E": rw.at(base + [0]),
+                      "F": rw.at(base + [1]), "Q": rw.at([0, 1]),
+                      "r": rw.at([0]).weight})
 
     # -- the purely non-deterministic fragment (axiom B route)
 

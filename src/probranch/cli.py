@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .axioms import (
     BudgetExceededError,
-    canonical_pterm,
     concretize,
     normalize_nd,
     prove_equal,
@@ -88,7 +87,7 @@ def _cmd_normalize(args) -> int:
     elif args.form == "p":
         if not isinstance(term, PTerm):
             raise ParseError("expected a probabilistic term", 1, 1, "")
-        out, _ = canonical_pterm(term)
+        out, _ = normalize_nd(term)
     else:  # concrete
         p = term if isinstance(term, PTerm) else Dirac(term)
         out, _ = concretize(p)

@@ -198,6 +198,19 @@ class _Tables:
         so that a silent move from the state to it is inert?"""
         return self.stab_sig(target) == self.stabsig_state[state]
 
+    def inertness(self, state: NdTerm,
+                  target: Distribution) -> InertnessResult:
+        """The InertnessResult of a silent move from `state` to `target`:
+        INERT when the target dissolves the state (no LP), PARTIALLY_INERT
+        with the fraction when an equivalent fraction in (0,1) of it
+        does, NEITHER otherwise."""
+        if self.dissolves(state, target):
+            return InertnessResult(INERT, ONE)
+        r = self.equivalent_fraction(target, self.stabsig_state[state])
+        if r > ZERO:
+            return InertnessResult(PARTIALLY_INERT, r)
+        return InertnessResult(NEITHER)
+
     def equivalent_fraction(self, mu: Distribution, ref: tuple):
         """Largest r such that mu = r*mu1 (+) (1-r)*mu2 with mu1
         stabilizing onto ref.  Stable signatures are linear, so with p_t
@@ -696,21 +709,14 @@ def inertness(state: NdTerm, transition: StateTransition) -> InertnessResult:
     state's derivatives.
 
     inert: the target stabilizes onto the source's own stable signature.
-    partially inert: a maximal fraction r in (0,1) of the target does,
-    `_Tables.equivalent_fraction`.
+    partially inert: a maximal fraction r in (0,1) of the target does
+    (`_Tables.inertness`).
     """
     if transition.source != state or not transition.action.is_tau:
         raise ArgumentError("expected a silent transition of the given state")
     if transition not in nd_transitions(state):
         raise ArgumentError("transition is not derivable from the state")
-    tables = branching_analysis({state})
-    target = transition.target
-    if tables.dissolves(state, target):
-        return InertnessResult(INERT, ONE)
-    r = tables.equivalent_fraction(target, tables.stabsig_state[state])
-    if r > ZERO:
-        return InertnessResult(PARTIALLY_INERT, r)
-    return InertnessResult(NEITHER)
+    return branching_analysis({state}).inertness(state, transition.target)
 
 
 def is_rigid(state: NdTerm) -> bool:
@@ -720,16 +726,14 @@ def is_rigid(state: NdTerm) -> bool:
 
 def is_concrete(p) -> bool:
     """No derivative can perform an even partially inert silent
-    transition: every silent move has equivalent fraction 0.  An inert
-    move, which needs no LP to see, already fails.  The states are read
-    in nd_key order, so the LPs solved before a failure do not depend on
+    transition: every silent move is of kind NEITHER.  An inert move,
+    which needs no LP to see, already fails.  The states are read in
+    nd_key order, so the LPs solved before a failure do not depend on
     the hash seed."""
     states = derivatives(p if isinstance(p, PTerm) else Dirac(p))
     tables = branching_analysis(states)
     return all(
-        not tables.dissolves(state, tr.target)
-        and tables.equivalent_fraction(
-            tr.target, tables.stabsig_state[state]) == ZERO
+        tables.inertness(state, tr.target).kind == NEITHER
         for state in sorted(states, key=nd_key)
         for tr in nd_transitions(state) if tr.action.is_tau)
 

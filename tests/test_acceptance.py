@@ -148,19 +148,19 @@ def test_criterion_6_derived_laws_randomized():
         r = rat(rng.randint(1, 4), 5)
         guarded = Dirac(Sum(e, g))
         instances = [
-            (1, Prefix(alpha, Dirac(Sum(e, Prefix(TAU, guarded))))),
-            (2, Prefix(alpha, PChoice(Dirac(Prefix(TAU, p)), r, rest))),
-            (3, Prefix(alpha, Dirac(Prefix(TAU, p)))),
+            Prefix(alpha, Dirac(Sum(e, Prefix(TAU, guarded)))),
+            Prefix(alpha, PChoice(Dirac(Prefix(TAU, p)), r, rest)),
+            Prefix(alpha, Dirac(Prefix(TAU, p))),
         ]
-        for variant, term in instances:
+        for term in instances:
             try:
-                out, trace = derived_simple_bp(variant, term)
+                out, trace = derived_simple_bp(term)
                 trace.replay()
                 assert trace.start == term and trace.end == out
             except Exception:
                 failures += 1
     assert failures == 0
-    _report(6, "300 derived-law traces (100 seeds x 3 variants) replay")
+    _report(6, "300 derived-law traces (100 seeds x 3 laws) replay")
 
 
 def test_criterion_7_soundness_fuzz():

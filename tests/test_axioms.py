@@ -15,7 +15,6 @@ from probranch.axioms import (
     SideConditionError,
     SubstitutionError,
     apply_axiom,
-    canonical_pterm,
     concretize,
     concretize_nd,
     derived_simple_bp,
@@ -216,9 +215,9 @@ def test_normalize_p_reorders():
 
 def test_normalize_p_idempotent():
     p = pt("(D(b.D(0)) +[1/3] D(a.D(0))) +[1/2] D(b.D(0))")
-    canon, trace = canonical_pterm(p)
+    canon, trace = normalize_nd(p)
     trace.replay()
-    again, trace2 = canonical_pterm(canon)
+    again, trace2 = normalize_nd(canon)
     assert canon == again and not trace2.steps
     assert den(canon) == den(p)
 
@@ -376,7 +375,7 @@ def test_list_reassociate_300_elements_from_the_opposite_nesting(sort):
 
 def test_sbp3():
     t = nd("a.D(tau.D(b.D(0)))")
-    out, trace = derived_simple_bp(3, t)
+    out, trace = derived_simple_bp(t)
     assert out == nd("a.D(b.D(0))")
     trace.replay()
     assert set(trace.rule_multiset()) <= {"P3", "A4", "A1", "BP", "P1"}
@@ -384,7 +383,7 @@ def test_sbp3():
 
 def test_sbp2():
     t = nd("a.(D(tau.(D(b.D(0)) +[1/2] D(c.D(0)))) +[1/4] D(d.D(0)))")
-    out, trace = derived_simple_bp(2, t)
+    out, trace = derived_simple_bp(t)
     assert out == nd("a.((D(b.D(0)) +[1/2] D(c.D(0))) +[1/4] D(d.D(0)))")
     trace.replay()
 
@@ -392,7 +391,7 @@ def test_sbp2():
 def test_sbp1():
     # guard E = b.D(0) matched by P = D(a.D(0) + b.D(0)) +1/2 D(b.D(0))
     t = nd("a.D(b.D(0) + tau.(D(a.D(0) + b.D(0)) +[1/2] D(b.D(0))))")
-    out, trace = derived_simple_bp(1, t)
+    out, trace = derived_simple_bp(t)
     assert out == nd("a.(D(a.D(0) + b.D(0)) +[1/2] D(b.D(0)))")
     trace.replay()
 
@@ -400,14 +399,16 @@ def test_sbp1():
 def test_sbp1_bad_guard():
     t = nd("a.D(c.D(0) + tau.D(b.D(0)))")
     with pytest.raises(SideConditionError):
-        derived_simple_bp(1, t)
+        derived_simple_bp(t)
 
 
 def test_sbp_shape_errors():
     with pytest.raises(ShapeError):
-        derived_simple_bp(3, nd("a.D(b.D(0))"))
+        derived_simple_bp(nd("a.D(b.D(0))"))
     with pytest.raises(ShapeError):
-        derived_simple_bp(2, nd("a.D(0)"))
+        derived_simple_bp(nd("a.D(0)"))
+    with pytest.raises(ShapeError):
+        derived_simple_bp(nd("tau.D(b.D(0)) + b.D(0)"))
 
 
 # ---------------------------------------------------------- concretizers
@@ -765,8 +766,8 @@ def test_concretize_idempotent_up_to_normal_form():
         p = gen_p(GenConfig(seed=seed, max_complexity=7))
         pbar, _ = concretize(p)
         again, trace = concretize(pbar)
-        c1, _ = canonical_pterm(pbar)
-        c2, _ = canonical_pterm(again)
+        c1, _ = normalize_nd(pbar)
+        c2, _ = normalize_nd(again)
         assert c1 == c2
 
 
@@ -777,7 +778,7 @@ def test_concretize_partially_inert_exact_result():
     state = f"tau.({inner}) + b.D(c.D(0)) + tau.D(d.D(0))"
     pbar, trace = concretize(pt(f"D({state})"))
     trace.replay()
-    expected, _ = canonical_pterm(pt("D(b.D(c.D(0)) + tau.D(d.D(0)))"))
+    expected, _ = normalize_nd(pt("D(b.D(c.D(0)) + tau.D(d.D(0)))"))
     assert pbar == expected
 
 

@@ -5,7 +5,7 @@ import itertools
 import random
 
 from probranch import equivalence
-from probranch.axioms import apply_axiom, canonical_pterm, normalize_nd
+from probranch.axioms import apply_axiom, normalize_nd
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
     INERT,
@@ -51,7 +51,6 @@ from probranch.terms import (
     ZERO_TERM,
     Action,
     Dirac,
-    NdTerm,
     PChoice,
     Prefix,
     Sum,
@@ -774,9 +773,7 @@ def _axiom_application(rng, axiom):
 
 
 def _prover_form(term):
-    if isinstance(term, NdTerm):
-        return normalize_nd(term)[0]
-    return canonical_pterm(term)[0]
+    return normalize_nd(term)[0]
 
 
 def test_normal_form_matches_the_prover_and_the_deciders():

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from probranch.axioms import (
-    canonical_pterm,
     concretize,
     concretize_nd,
     derived_simple_bp,
@@ -94,11 +93,11 @@ def _cases() -> dict:
             *normalize_nd(gen_nd(GenConfig(seed=seed, max_complexity=12))))
     for seed in (1, 3, 8, 12, 15):
         cases[f"canonical_pterm.gen{seed}"] = lambda seed=seed: _text(
-            *canonical_pterm(gen_p(GenConfig(seed=seed, max_complexity=12))))
+            *normalize_nd(gen_p(GenConfig(seed=seed, max_complexity=12))))
     cases["normalize_nd.right-nested"] = lambda: _text(
         *normalize_nd(_against_the_nesting()[0]))
     cases["canonical_pterm.left-nested"] = lambda: _text(
-        *canonical_pterm(_against_the_nesting()[1]))
+        *normalize_nd(_against_the_nesting()[1]))
     for i in range(PAIRS):
         cases[f"prove.pair{i}"] = lambda i=i: _prove(*_equivalent_pairs()[i])
     # C saturation, bare (rooted) and under a prefix (strong)
@@ -117,12 +116,11 @@ def _cases() -> dict:
         cases[f"concretize_nd.gen{seed}"] = lambda seed=seed: _text(
             *concretize_nd(gen_nd(GenConfig(seed=seed, max_complexity=8,
                                             actions=("a", "b")))))
-    for variant, term in ((1, "a.D(b.D(0) + tau.D(b.D(0)))"),
-                          (2, "a.(D(tau.D(b.D(0))) +[1/3] D(c.D(0)))"),
-                          (3, "a.D(tau.D(b.D(0)))")):
-        cases[f"derived_simple_bp.{variant}"] = (
-            lambda variant=variant, term=term: _text(
-                *derived_simple_bp(variant, parse_nd(term))))
+    for law, term in ((1, "a.D(b.D(0) + tau.D(b.D(0)))"),
+                      (2, "a.(D(tau.D(b.D(0))) +[1/3] D(c.D(0)))"),
+                      (3, "a.D(tau.D(b.D(0)))")):
+        cases[f"derived_simple_bp.{law}"] = lambda term=term: _text(
+            *derived_simple_bp(parse_nd(term)))
     # the paper's partially inert example
     cases["concretize.partially-inert"] = lambda: _text(*concretize(parse_p(
         "D(tau.(D(b.D(c.D(0)) + tau.D(d.D(0))) +[1/3] D(d.D(0))) "

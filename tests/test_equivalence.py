@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -30,7 +31,7 @@ from probranch.equivalence import (
 )
 from probranch.harness import GenConfig, gen_nd, gen_p
 from probranch.lp import LP
-from probranch.parse import parse_nd, parse_p
+from probranch.parse import parse_nd, parse_p, parse_term
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
 from probranch.terms import TAU, ZERO_TERM, nd_key
@@ -247,6 +248,49 @@ def test_check_solves_no_lp_where_forms_meet(monkeypatch):
     solves.clear()
     assert decide("rooted-branching", left, right).equivalent
     assert len(solves) >= 1
+
+
+_PINNED_VERDICTS = [
+    ("strong", "tau.D(a.D(0))", "a.D(0)",
+     {"equivalent": False, "relation": "strong", "witness": {
+         "action_path": ["tau"],
+         "class_signature_left": {"tau.D(a.D(0))": "1/1"},
+         "class_signature_right": {"a.D(0)": "1/1"}}}),
+    ("branching", "a.D(0)", "a.D(0) + b.D(0)",
+     {"equivalent": False, "relation": "branching", "witness": {
+         "action_path": ["a"],
+         "class_signature_left": {"a.D(0)": "1/1"},
+         "class_signature_right": {"a.D(0) + b.D(0)": "1/1"}}}),
+    ("rooted-branching", "D(tau.D(a.D(0))) +[1/2] D(b.D(0))",
+     "D(a.D(0)) +[1/2] D(b.D(0))",
+     {"equivalent": False, "relation": "rooted-branching", "witness": {
+         "action_path": ["tau"],
+         "class_signature_left": {"tau.D(a.D(0))": "1/2", "b.D(0)": "1/2"},
+         "class_signature_right": {"a.D(0)": "1/2", "b.D(0)": "1/2"}}}),
+    ("branching",
+     mix(dirac(nd("a.D(0)")), rat(1, 3),
+         den(pt("D(b.D(0)) +[1/2] D(c.D(0))"))),
+     mix(dirac(nd("tau.D(a.D(0))")), rat(1, 2), dirac(nd("b.D(0) + c.D(0)"))),
+     {"equivalent": False, "relation": "branching", "witness": {
+         "action_path": ["tau"],
+         "class_signature_left": {
+             "tau.D(a.D(0))": "1/3", "b.D(0)": "1/3", "c.D(0)": "1/3"},
+         "class_signature_right": {
+             "tau.D(a.D(0))": "1/2", "b.D(0) + c.D(0)": "1/2"}}}),
+]
+
+
+@pytest.mark.parametrize(
+    "relation,left,right,expected", _PINNED_VERDICTS,
+    ids=["strong", "branching", "rooted-branching", "distributions"])
+def test_verdict_json_is_pinned(relation, left, right, expected):
+    """The verdict JSON, witness included, of one pair per relation and
+    one distribution-level pair built with `mix`."""
+    if isinstance(left, str):
+        verdict = decide(relation, parse_term(left), parse_term(right))
+    else:
+        verdict = branching_equiv(left, right)
+    assert json.dumps(verdict.to_json()) == json.dumps(expected)
 
 
 def test_inclusion_chain_on_samples():

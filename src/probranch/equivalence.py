@@ -62,9 +62,13 @@ distributions are branching bisimilar; distribution-level equivalence
 additionally identifies a point distribution with the mixture it
 silently dissolves into, which the stable signature captures.
 
-`check` answers a branching or rooted-branching pair whose forms meet
-(`_forms_meet`, no proof steps) as equivalent, since A1-A4/P1-P3 are
-sound; every other pair goes to `decide`, the deciders' one entry.
+`decide` is the one verdict entry.  It takes a state, a probabilistic
+term or a distribution on each side, and per relation it reads the
+classes, the signature that compares the two sides and the check that
+separates them in a witness.  `check` answers a branching or
+rooted-branching pair whose forms meet (`_forms_meet`, no proof steps)
+as equivalent, since A1-A4/P1-P3 are sound, and sends every other pair
+to `decide`.
 
 Outside refinement, `inertness`, `is_rigid`, `is_concrete` and the
 prover read inertness off the final branching tables of the state's
@@ -218,7 +222,11 @@ class _Tables:
         the sum of p_t <= mu(t) subject to sum_t p_t*(row[t] - ref) = 0.
         The rows and ref are probability vectors, so the sum is r, and
         the rows of classes on ref's support force zero mass on every
-        other class: only those rows are added."""
+        other class: only those rows are added.  Answers are kept per
+        (mu, ref), beside the transfer LPs."""
+        hit = self._lp_cache.get((mu, ref))
+        if hit is not None:
+            return hit
         lp = LP()
         rows = [{} for _ in ref]
         for t, m in mu.entries:
@@ -229,7 +237,9 @@ class _Tables:
         for coeffs in rows:
             if coeffs:
                 lp.add_eq(coeffs, ZERO)
-        return lp.maximize({("p", t): ONE for t in mu.support})["__value__"]
+        hit = self._lp_cache[(mu, ref)] = lp.maximize(
+            {("p", t): ONE for t in mu.support})["__value__"]
+        return hit
 
     def inert_transitions(self, states) -> tuple:
         out = []
@@ -515,18 +525,6 @@ def _mismatch_witness(check, ctx, partition: Partition, left_sig,
     }
 
 
-def branching_equiv(mu: Distribution, nu: Distribution) -> Verdict:
-    """Branching probabilistic bisimilarity of two distributions: equal
-    stable signatures."""
-    tables = branching_analysis(mu.support + nu.support)
-    left = tables.stab_sig(mu)
-    right = tables.stab_sig(nu)
-    if left == right:
-        return Verdict(True, "branching")
-    return Verdict(False, "branching", _mismatch_witness(
-        _BranchingCheck(), tables, tables.partition, left, right))
-
-
 # ---------------------------------------------------------------------------
 # Strong bisimilarity
 
@@ -604,16 +602,6 @@ def strong_partition(roots: Iterable[NdTerm]) -> Partition:
     return _strong_partition(_closure(roots))
 
 
-def strong_equiv(mu: Distribution, nu: Distribution) -> Verdict:
-    """Strong probabilistic bisimilarity: equal class masses per strong class."""
-    partition = strong_partition(mu.support + nu.support)
-    left, right = partition.sig(mu), partition.sig(nu)
-    if left == right:
-        return Verdict(True, "strong")
-    return Verdict(False, "strong", _mismatch_witness(
-        _StrongCheck(), partition, partition, left, right))
-
-
 # ---------------------------------------------------------------------------
 # Rooted branching bisimilarity
 
@@ -640,33 +628,41 @@ def rooted_partition_over(tables: _Tables,
     return partition_from_classes(groups)
 
 
-def rooted_branching_equiv(p, q) -> Verdict:
-    """Rooted branching bisimilarity of two probabilistic terms or
-    distributions (a state as its Dirac distribution): equal mass per
-    rooted-branching state class."""
-    mu = den(p) if isinstance(p, PTerm) else p
-    nu = den(q) if isinstance(q, PTerm) else q
-    states = mu.support + nu.support
-    tables = branching_analysis(states)
-    partition = rooted_partition_over(tables, states)
-    left, right = partition.sig(mu), partition.sig(nu)
-    if left == right:
-        return Verdict(True, "rooted-branching")
-    return Verdict(False, "rooted-branching", _mismatch_witness(
-        _ROOTED_CHECK, tables, partition, left, right))
-
-
-def _as_dist(term) -> Distribution:
-    return den(term) if isinstance(term, PTerm) else dirac(term)
+def _as_dist(side) -> Distribution:
+    """A state as its Dirac distribution, a probabilistic term as its
+    denotation; a distribution stands for itself."""
+    if isinstance(side, Distribution):
+        return side
+    return den(side) if isinstance(side, PTerm) else dirac(side)
 
 
 def decide(relation: str, left, right) -> Verdict:
-    """Run the named relation's decider over terms of either sort."""
-    decider = {"strong": strong_equiv, "branching": branching_equiv,
-               "rooted-branching": rooted_branching_equiv}.get(relation)
-    if decider is None:
+    """Decide the named relation between two states, probabilistic terms
+    or distributions: equal signatures over the relation's classes of
+    the joint derivatives.  Strong reads class masses on the strong
+    partition; branching reads stable signatures on the final branching
+    tables; rooted branching reads class masses on the rooted classes
+    within them."""
+    mu, nu = _as_dist(left), _as_dist(right)
+    states = mu.support + nu.support
+    if relation == "strong":
+        ctx = partition = strong_partition(states)
+        signature, witness_check = partition.sig, _StrongCheck()
+    elif relation == "branching":
+        ctx = branching_analysis(states)
+        partition, signature = ctx.partition, ctx.stab_sig
+        witness_check = _BranchingCheck()
+    elif relation == "rooted-branching":
+        ctx = branching_analysis(states)
+        partition = rooted_partition_over(ctx, states)
+        signature, witness_check = partition.sig, _ROOTED_CHECK
+    else:
         raise ValueError(f"unknown relation: {relation!r}")
-    return decider(_as_dist(left), _as_dist(right))
+    left_sig, right_sig = signature(mu), signature(nu)
+    if left_sig == right_sig:
+        return Verdict(True, relation)
+    return Verdict(False, relation, _mismatch_witness(
+        witness_check, ctx, partition, left_sig, right_sig))
 
 
 def _forms_meet(left, right) -> bool:

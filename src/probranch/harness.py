@@ -30,11 +30,9 @@ from .dist import (
 )
 from .equivalence import (
     Verdict,
-    branching_equiv,
     decide,
     is_concrete,
     is_rigid,
-    strong_equiv,
 )
 from .lp import LP
 from .parse import print_term
@@ -559,11 +557,11 @@ def _gen_oplus(rng, cfg):
 
 def _check_oplus(inputs):
     p1, q1, p2, q2, r = inputs
-    if (branching_equiv(den(p1), den(q1)).equivalent
-            and branching_equiv(den(p2), den(q2)).equivalent):
+    if (decide("branching", p1, q1).equivalent
+            and decide("branching", p2, q2).equivalent):
         left = mix(den(p1), r, den(p2))
         right = mix(den(q1), r, den(q2))
-        if not branching_equiv(left, right).equivalent:
+        if not decide("branching", left, right).equivalent:
             return ("choice congruence for branching", "refuted")
     return None
 
@@ -578,8 +576,8 @@ def _check_stuttering(inputs):
     mu = den(p)
     mid = _walk(walk_seed, mu)
     nu = _walk(walk_seed + 1, mid)
-    if branching_equiv(mu, nu).equivalent:
-        if not branching_equiv(mu, mid).equivalent:
+    if decide("branching", mu, nu).equivalent:
+        if not decide("branching", mu, mid).equivalent:
             return ("stuttering keeps the intermediate equivalent", "refuted")
     return None
 
@@ -598,9 +596,9 @@ def _check_cancellativity(inputs):
     mu_p, mu_q, nu_p, nu_q, r = inputs
     left = den(mu_p) if r == ONE else mix(den(mu_p), r, den(nu_p))
     right = den(mu_q) if r == ONE else mix(den(mu_q), r, den(nu_q))
-    if (branching_equiv(left, right).equivalent
-            and branching_equiv(den(nu_p), den(nu_q)).equivalent):
-        if not branching_equiv(den(mu_p), den(mu_q)).equivalent:
+    if (decide("branching", left, right).equivalent
+            and decide("branching", nu_p, nu_q).equivalent):
+        if not decide("branching", mu_p, mu_q).equivalent:
             return ("cancellativity of probabilistic choice", "refuted")
     return None
 
@@ -625,7 +623,7 @@ def _check_lemma_cc(inputs):
     mu = den(p1)
     if all(is_rigid(s) for s in mu.support):
         nu = _walk(walk_seed, mu)
-        if branching_equiv(mu, nu).equivalent and mu != nu:
+        if decide("branching", mu, nu).equivalent and mu != nu:
             return ("cc(e): a rigid distribution has no distinct "
                     "equivalent weak derivative", "refuted")
     return None
@@ -658,8 +656,8 @@ def _check_concrete_strong(inputs):
     p, q = inputs
     if not (is_concrete(p) and is_concrete(q)):
         return None
-    b = branching_equiv(den(p), den(q)).equivalent
-    s = strong_equiv(den(p), den(q)).equivalent
+    b = decide("branching", p, q).equivalent
+    s = decide("strong", p, q).equivalent
     if b != s:
         return ("concrete processes: branching iff strong", "refuted")
     return None

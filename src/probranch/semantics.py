@@ -11,7 +11,7 @@ so the flow polytope is exactly the weak-derivative set.
 `add_flow_result` adds one such stage to an LP; the branching decider
 in equivalence.py chains stages (weak move, step, inert stabilization)
 into one exact-rational feasibility problem per weak transfer
-question, and `weak_reachable` asks the plain membership question.
+question.
 """
 
 from __future__ import annotations
@@ -109,20 +109,6 @@ def add_flow_result(lp: LP, tag, start: dict, states, transitions) -> dict:
                 coeffs[flow] = -delta
         lp.add_eq(coeffs, rhs)
     return result
-
-
-def weak_reachable(mu: Distribution, nu: Distribution) -> bool:
-    """mu => nu, decided by exact flow feasibility."""
-    states = sorted(set().union(*(derivatives(s) for s in mu.support)),
-                    key=nd_key)
-    if not set(nu.support) <= set(states):
-        return False
-    lp = LP()
-    res = add_flow_result(lp, "w", dict(mu.entries), states,
-                          tau_transition_list(states))
-    for st in states:
-        lp.add_eq({res[st]: ONE}, nu.mass(st))
-    return lp.feasible() is not None
 
 
 # ---------------------------------------------------------------------------

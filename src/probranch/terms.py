@@ -175,16 +175,6 @@ class PChoice(PTerm):
 ZERO_TERM = Zero()
 
 
-def mk_sum(*terms: NdTerm) -> NdTerm:
-    """Left-nested sum of the given terms; 0 for the empty list."""
-    if not terms:
-        return ZERO_TERM
-    out = terms[0]
-    for t in terms[1:]:
-        out = Sum(out, t)
-    return out
-
-
 def summands(term: NdTerm) -> list[NdTerm]:
     """Flatten nested sums into the list of non-Sum summands."""
     out: list[NdTerm] = []

@@ -14,13 +14,10 @@ from probranch.axioms import (
 from probranch.cli import main as cli_main
 from probranch.dist import den, derivatives
 from probranch.equivalence import (
-    branching_equiv,
     check,
     decide,
     is_concrete,
-    rooted_branching_equiv,
     sqsubseteq,
-    strong_equiv,
 )
 from probranch.harness import (
     GenConfig,
@@ -97,8 +94,8 @@ def test_criterion_3_rooted_counterexample():
     but pass the branching check."""
     p = pt("D(tau.D(a.D(0))) +[1/2] D(b.D(0))")
     q = pt("D(a.D(0)) +[1/2] D(b.D(0))")
-    assert not rooted_branching_equiv(p, q).equivalent
-    assert branching_equiv(den(p), den(q)).equivalent
+    assert not decide("rooted-branching", p, q).equivalent
+    assert decide("branching", den(p), den(q)).equivalent
     _report(3, "rooted check fails, branching check passes")
 
 
@@ -211,7 +208,7 @@ def test_criterion_9_oracle_agreement():
             continue
         checked += 1
         oracle = brute_force_branching(mu, nu).equivalent
-        decider = branching_equiv(mu, nu).equivalent
+        decider = decide("branching", mu, nu).equivalent
         assert oracle == decider, (mu, nu)
         equivalents += oracle
     _report(9, f"500 pairs, 0 disagreements ({equivalents} equivalent)")

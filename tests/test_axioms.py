@@ -25,11 +25,9 @@ from probranch.axioms import (
 from probranch.dist import den, dirac
 from probranch.equivalence import (
     Verdict,
-    branching_equiv,
     check,
     decide,
     is_concrete,
-    rooted_branching_equiv,
 )
 from probranch.harness import (
     GenConfig,
@@ -434,16 +432,16 @@ def test_concretize_partially_inert_typical():
     pbar, trace = concretize(pt(f"D({state})"))
     assert is_concrete(pbar)
     trace.replay()
-    assert branching_equiv(den(pbar),
-                           dirac(nd("b.D(c.D(0)) + tau.D(d.D(0))"))).equivalent
+    assert decide("branching", den(pbar),
+                  dirac(nd("b.D(c.D(0)) + tau.D(d.D(0))"))).equivalent
 
 
 def test_concretize_mixture():
     pbar, trace = concretize(pt("D(tau.D(a.D(0))) +[1/2] D(b.D(0))"))
     assert is_concrete(pbar)
     trace.replay()
-    assert rooted_branching_equiv(
-        Prefix(TAU, pbar).body, pt("D(a.D(0)) +[1/2] D(b.D(0))")).equivalent
+    assert decide(
+        "rooted-branching", Prefix(TAU, pbar).body, pt("D(a.D(0)) +[1/2] D(b.D(0))")).equivalent
 
 
 def test_concretize_preserves_prefixed_equivalence():
@@ -714,6 +712,20 @@ def test_prove_equal_shortcut_matches_full_path():
         forms = axioms._Prover().normal_forms(left, right)
         met += forms[0].term == forms[1].term
     assert met == 50  # every draw takes the shortcut
+
+
+def test_concretize_solves_each_equivalent_fraction_once(monkeypatch):
+    """The paper's partially inert example asks `equivalent_fraction`
+    9 times about 3 distinct (target, stable row) pairs.  The tables keep
+    each answer, so the concretizer solves at most 30 LPs; it solved 36
+    when every call posed its LP again."""
+    calls = _decider_calls(monkeypatch)
+    pbar, trace = concretize(pt(
+        "D(tau.(D(b.D(c.D(0)) + tau.D(d.D(0))) +[1/3] D(d.D(0))) "
+        "+ b.D(c.D(0)) + tau.D(d.D(0)))"))
+    assert pbar == pt("D(tau.D(d.D(0)) + b.D(c.D(0)))")
+    assert len(trace.steps) == 15
+    assert calls.count("minimize") <= 30
 
 
 def test_prove_equal_refutes_past_the_budget():

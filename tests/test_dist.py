@@ -1,23 +1,23 @@
+"""Distributions, and the decomposition algebra of the paper's
+definitions, which the deciders never build: decompositions, convex
+sums, joint refinements, weights and class masses."""
+
+from dataclasses import dataclass
+from typing import Iterable
+
 import pytest
 
 from probranch.dist import (
-    Decomposition,
-    MismatchError,
-    WeightSumError,
-    convex_sum,
-    decomposition,
+    Distribution,
     den,
     derivatives,
     dirac,
     distribution,
-    joint_refinement,
     mix,
-    pterm_of_distribution,
-    weight,
 )
 from probranch.parse import parse_nd, parse_p
 from probranch.rat import ONE, ZERO, rat
-from probranch.terms import ZERO_TERM
+from probranch.terms import ZERO_TERM, Dirac, NdTerm, PChoice, PTerm, complexity
 
 
 def nd(s):
@@ -26,6 +26,101 @@ def nd(s):
 
 def pt(s):
     return parse_p(s)
+
+
+class WeightSumError(ValueError):
+    """Decomposition weights do not sum to one."""
+
+
+class MismatchError(ValueError):
+    """Two decompositions do not recompose to the same distribution."""
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Ordered weighted list of component distributions.
+
+    Unlike Distribution, repeats are kept and zero weights are allowed;
+    only the weight sum is constrained.
+    """
+
+    parts: tuple  # tuple[(Rat, Distribution), ...]
+
+    def __post_init__(self):
+        total = sum((w for w, _ in self.parts), ZERO)
+        if total != ONE:
+            raise WeightSumError(f"decomposition weights must sum to 1, got {total}")
+        for w, _ in self.parts:
+            if w < ZERO:
+                raise WeightSumError("decomposition weights must be non-negative")
+
+
+def decomposition(parts: Iterable) -> Decomposition:
+    return Decomposition(tuple((rat(w) if isinstance(w, int) else w, d)
+                               for w, d in parts))
+
+
+def convex_sum(parts: Decomposition) -> Distribution:
+    """Pointwise weighted sum of the component distributions."""
+    acc: dict[NdTerm, object] = {}
+    for w, comp in parts.parts:
+        if w == ZERO:
+            continue
+        for t, m in comp.entries:
+            acc[t] = acc.get(t, ZERO) + w * m
+    return distribution(acc)
+
+
+def joint_refinement(d1: Decomposition, d2: Decomposition):
+    """Common refinement of two decompositions of the same distribution.
+
+    Returns a matrix of (r_ij, rho_ij) cells with row sums the d1 weights,
+    column sums the d2 weights, and p_i*mu_i = (+)_j r_ij*rho_ij as well as
+    q_j*nu_j = (+)_i r_ij*rho_ij.  Cells with r_ij = 0 carry the point mass
+    on 0 as a placeholder.
+    """
+    xi = convex_sum(d1)
+    if xi != convex_sum(d2):
+        raise MismatchError("decompositions recompose to different distributions")
+    placeholder = dirac(ZERO_TERM)
+    matrix = []
+    for p_i, mu_i in d1.parts:
+        row = []
+        for q_j, nu_j in d2.parts:
+            r_ij = sum((p_i * mu_i.mass(t) * q_j * nu_j.mass(t) / m
+                        for t, m in xi.entries), ZERO)
+            if r_ij == ZERO:
+                row.append((ZERO, placeholder))
+                continue
+            cell = {}
+            for t, m in xi.entries:
+                val = p_i * mu_i.mass(t) * q_j * nu_j.mass(t) / (r_ij * m)
+                if val != ZERO:
+                    cell[t] = val
+            row.append((r_ij, distribution(cell)))
+        matrix.append(tuple(row))
+    return tuple(matrix)
+
+
+def weight(mu: Distribution):
+    """Average structural complexity of the support, weighted by mass."""
+    return sum((m * complexity(t) for t, m in mu.entries), ZERO)
+
+
+def class_mass(mu: Distribution, terms: Iterable[NdTerm]):
+    """Total mass the distribution assigns to a set of states."""
+    wanted = set(terms)
+    return sum((m for t, m in mu.entries if t in wanted), ZERO)
+
+
+def pterm_of_distribution(mu: Distribution) -> PTerm:
+    """Canonical right-nested probabilistic term denoting mu."""
+    entries = mu.entries
+    if len(entries) == 1:
+        return Dirac(entries[0][0])
+    head, head_mass = entries[0]
+    rest = distribution({t: m / (ONE - head_mass) for t, m in entries[1:]})
+    return PChoice(Dirac(head), head_mass, pterm_of_distribution(rest))
 
 
 def test_den_dirac():
@@ -134,9 +229,9 @@ def test_weight_examples():
 def test_class_mass():
     e, f = nd("a.D(0)"), nd("b.D(0)")
     mu = mix(dirac(e), rat(1, 3), dirac(f))
-    assert mu.class_mass(set()) == ZERO
-    assert mu.class_mass(set(mu.support)) == ONE
-    assert mu.class_mass({f}) == rat(2, 3)
+    assert class_mass(mu, set()) == ZERO
+    assert class_mass(mu, set(mu.support)) == ONE
+    assert class_mass(mu, {f}) == rat(2, 3)
 
 
 def test_derivatives():

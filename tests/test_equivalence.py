@@ -16,17 +16,14 @@ from probranch.equivalence import (
     _start_partition,
     _StrongCheck,
     branching_analysis,
-    branching_equiv,
     check,
     decide,
     inertness,
     is_concrete,
     is_rigid,
     reach,
-    rooted_branching_equiv,
     shape,
     sqsubseteq,
-    strong_equiv,
     strong_partition,
 )
 from probranch.harness import GenConfig, gen_nd, gen_p
@@ -35,6 +32,7 @@ from probranch.parse import parse_nd, parse_p, parse_term
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
 from probranch.terms import TAU, ZERO_TERM, nd_key
+from test_dist import class_mass
 
 
 def nd(s):
@@ -125,12 +123,12 @@ def test_strong_combined_matching():
 
 def test_strong_equiv_reflexive():
     mu = den(pt("D(a.D(0)) +[1/2] D(b.D(0))"))
-    assert strong_equiv(mu, mu).equivalent
+    assert decide("strong", mu, mu).equivalent
 
 
 def test_strong_distinguishes_dirac_from_mixture():
     mu = den(pt("D(a.D(0)) +[1/2] D(b.D(0))"))
-    verdict = strong_equiv(mu, dirac(ZERO_TERM))
+    verdict = decide("strong", mu, dirac(ZERO_TERM))
     assert not verdict.equivalent
     assert verdict.witness is not None
 
@@ -149,7 +147,7 @@ def test_partition_lookups_reject_a_state_outside_the_universe():
 
 def test_strong_choice_idempotence_semantics():
     p = pt("D(a.D(0)) +[1/2] D(a.D(0))")
-    assert strong_equiv(den(p), den(pt("D(a.D(0))"))).equivalent
+    assert decide("strong", den(p), den(pt("D(a.D(0))"))).equivalent
 
 
 # ---------------------------------------------------------------- branching
@@ -173,11 +171,11 @@ def test_branching_point_vs_dissolved_mixture():
     # mixer equals the mixture it dissolves into
     mixer = nd("tau.(D(b.D(0)) +[1/2] D(c.D(0)))")
     target = den(pt("D(b.D(0)) +[1/2] D(c.D(0))"))
-    assert branching_equiv(dirac(mixer), target).equivalent
+    assert decide("branching", dirac(mixer), target).equivalent
 
 
 def test_branching_inequivalent_visible():
-    v = branching_equiv(dirac(nd("a.D(0)")), dirac(nd("b.D(0)")))
+    v = decide("branching", dirac(nd("a.D(0)")), dirac(nd("b.D(0)")))
     assert not v.equivalent
     assert v.witness is not None
     assert "class_signature_left" in v.witness
@@ -185,8 +183,8 @@ def test_branching_inequivalent_visible():
 
 def test_branching_lemma8_iii_shape():
     # a.D(tau.P) identified with a.P, checked at the continuation level
-    assert branching_equiv(dirac(nd("tau.D(b.D(0))")),
-                           den(pt("D(b.D(0))"))).equivalent
+    assert decide("branching", dirac(nd("tau.D(b.D(0))")),
+                  den(pt("D(b.D(0))"))).equivalent
 
 
 # ---------------------------------------------------------------- rooted
@@ -207,14 +205,14 @@ def test_rooted_intro_terms():
     assert check("rooted-branching", t0, u0).equivalent
     assert check("rooted-branching", s0, u0).equivalent
     # strong must separate the first from the second
-    assert not strong_equiv(dirac(s0), dirac(t0)).equivalent
+    assert not decide("strong", dirac(s0), dirac(t0)).equivalent
 
 
 def test_rooted_counterexample_pterms():
     p = pt("D(tau.D(a.D(0))) +[1/2] D(b.D(0))")
     q = pt("D(a.D(0)) +[1/2] D(b.D(0))")
-    assert not rooted_branching_equiv(p, q).equivalent
-    assert branching_equiv(den(p), den(q)).equivalent
+    assert not decide("rooted-branching", p, q).equivalent
+    assert decide("branching", den(p), den(q)).equivalent
 
 
 def test_rooted_zero_vs_tau_counterexample():
@@ -256,6 +254,8 @@ _PINNED_VERDICTS = [
          "action_path": ["tau"],
          "class_signature_left": {"tau.D(a.D(0))": "1/1"},
          "class_signature_right": {"a.D(0)": "1/1"}}}),
+    # `a` does not separate this pair (only `b` does): the pin records the
+    # witness as the decider builds it until its action is mended
     ("branching", "a.D(0)", "a.D(0) + b.D(0)",
      {"equivalent": False, "relation": "branching", "witness": {
          "action_path": ["a"],
@@ -287,9 +287,8 @@ def test_verdict_json_is_pinned(relation, left, right, expected):
     """The verdict JSON, witness included, of one pair per relation and
     one distribution-level pair built with `mix`."""
     if isinstance(left, str):
-        verdict = decide(relation, parse_term(left), parse_term(right))
-    else:
-        verdict = branching_equiv(left, right)
+        left, right = parse_term(left), parse_term(right)
+    verdict = decide(relation, left, right)
     assert json.dumps(verdict.to_json()) == json.dumps(expected)
 
 
@@ -355,8 +354,8 @@ def test_partially_inert_onto_a_mixed_stable_row():
     res = inertness(state, taus[den(second)])
     assert res.kind == PARTIALLY_INERT
     assert res.fraction == rat(1, 2)
-    assert den(second).class_mass(
-        branching_analysis({state}).partition.class_of(state)) == 0
+    assert class_mass(den(second), branching_analysis(
+        {state}).partition.class_of(state)) == 0
 
 
 def test_neither_tau():
@@ -449,8 +448,8 @@ def test_rooted_first_step_must_be_full():
     # tau tower is branching equivalent to 0 but not rooted equivalent
     a = pt("D(0) +[4/5] D(0) +[1/2] D(tau.D(0))")
     b = pt("D(tau.D(tau.D(0)))")
-    assert branching_equiv(den(a), den(b)).equivalent
-    assert not rooted_branching_equiv(a, b).equivalent
+    assert decide("branching", den(a), den(b)).equivalent
+    assert not decide("rooted-branching", a, b).equivalent
     assert not check("rooted-branching", ZERO_TERM, nd("tau.D(0)")).equivalent
     # both of these offer a genuine first silent step, so they are rooted
     # equivalent even though their towers have different heights

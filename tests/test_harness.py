@@ -3,7 +3,7 @@ import pytest
 from probranch import equivalence
 from probranch.axioms import ProofTrace, prove_equal
 from probranch.dist import den, derivatives, dirac
-from probranch.equivalence import branching_equiv
+from probranch.equivalence import decide
 from probranch.harness import (
     BoundExceeded,
     GenConfig,
@@ -81,7 +81,7 @@ def test_oracle_agreement_sample():
             continue
         checked += 1
         assert (brute_force_branching(mu, nu).equivalent
-                == branching_equiv(mu, nu).equivalent)
+                == decide("branching", mu, nu).equivalent)
 
 
 def test_random_sound_application_shapes():

@@ -1,15 +1,12 @@
-from probranch.dist import den, dirac, distribution, mix, weight
+from probranch.dist import den, dirac, distribution, mix
 from probranch.equivalence import branching_analysis, check, sqsubseteq
 from probranch.parse import parse_nd, parse_p
 from probranch.rat import rat
-from probranch.semantics import (
-    nd_transitions,
-    state_targets,
-    to_dot,
-    weak_reachable,
-)
+from probranch.semantics import nd_transitions, state_targets, to_dot
 from probranch.terms import Action, Prefix, Sum, ZERO_TERM
+from oracle import weak_reachable
 from test_crosschecks import stable_form
+from test_dist import weight
 
 
 def nd(s):

@@ -23,7 +23,6 @@ from probranch.terms import (
     ZERO_TERM,
     complexity,
     is_nd_fragment,
-    mk_sum,
     nd_key,
     summands,
 )
@@ -87,6 +86,16 @@ def test_complexity_sum_and_choice_add():
     assert complexity(e) == 4
     p = parse_p("D(a.D(0)) +[1/3] D(0)")
     assert complexity(p) == 4
+
+
+def mk_sum(*terms):
+    """Left-nested sum of the given terms; 0 for the empty list."""
+    if not terms:
+        return ZERO_TERM
+    out = terms[0]
+    for t in terms[1:]:
+        out = Sum(out, t)
+    return out
 
 
 def test_summands_flatten():

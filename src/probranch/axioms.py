@@ -111,6 +111,9 @@ class RewriteStep:
     # part of the value.
     _sides = None
 
+    def __str__(self) -> str:
+        return f"{self.axiom.value} {self.direction}"
+
     def subst(self) -> dict:
         return dict(self.substitution)
 
@@ -166,6 +169,13 @@ class ProofTrace:
             raise ValueError("trace does not replay to its end term")
         object.__setattr__(self, "terms", tuple(terms))
         return term
+
+    def inverted(self) -> "ProofTrace":
+        """The proof of end = start: the steps in reverse order, each in
+        the other direction."""
+        return ProofTrace(self.end, tuple(
+            step.moved(step.position, "RL" if step.direction == "LR" else "LR")
+            for step in reversed(self.steps)), self.start)
 
     def to_jsonl(self) -> str:
         """One JSON line per step, from the terms of a verifying replay."""
@@ -338,26 +348,32 @@ def _side_condition_witness(axiom: AxiomId, sub: dict) -> Optional[dict]:
     return None
 
 
-def apply_axiom(term, step: RewriteStep):
-    """Apply one recorded rewrite step, re-verifying position, matching
-    and side conditions.  One walk down to the position keeps the nodes
-    that the result is rebuilt along."""
-    lhs, rhs = step.sides()
-    src, dst = (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
+def _replace(term, position: tuple, old, new, what):
+    """term with its subterm at position, which must equal old, replaced
+    by new.  One walk down to the position keeps the nodes that the
+    result is rebuilt along."""
     path = []
     actual = term
-    for i in step.position:
+    for i in position:
         path.append(actual)
         actual = _child_at(actual, i)
-    if actual != src:
+    if actual != old:
         raise SubstitutionError(
-            f"{step.axiom.value} {step.direction} does not match at "
-            f"{step.position}: expected {print_term(src)}, "
-            f"found {print_term(actual)}")
+            f"{what} does not match at {position}: expected "
+            f"{print_term(old)}, found {print_term(actual)}")
+    for node, i in zip(reversed(path), reversed(position)):
+        new = _with_child(node, i, new)
+    return new
+
+
+def apply_axiom(term, step: RewriteStep):
+    """Apply one recorded rewrite step, re-verifying position, matching
+    and side conditions."""
+    lhs, rhs = step.sides()
+    src, dst = (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
+    out = _replace(term, step.position, src, dst, step)
     _verify_side_condition(step.axiom, step.subst())
-    for node, i in zip(reversed(path), reversed(step.position)):
-        dst = _with_child(node, i, dst)
-    return dst
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +391,22 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n: int = 1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"step budget of {self.limit} exhausted")
 
 
 class _Rewriter:
-    """Holds a working term plus the steps that produced it.  Every step
-    is routed through apply_axiom, so emitted traces replay by
-    construction."""
+    """A working term, the term it started from and the steps between.
+    Each step is applied through apply_axiom and charged to the budget
+    once, where `apply` makes it.  By the replacement rule a finished
+    proof of a subterm holds in any context, so `splice` places one,
+    checking only that it starts at the subterm it replaces."""
 
     def __init__(self, term, budget: _Budget):
-        self.term = term
+        self.start = self.term = term
         self.steps: list = []
         self.budget = budget
 
@@ -403,20 +421,17 @@ class _Rewriter:
         self.steps.append(step)
         self.budget.spend()
 
-    def splice(self, position, steps):
-        """Apply steps produced for the subterm rooted at `position`."""
-        for step in steps:
-            shifted = step.moved(tuple(position) + step.position,
-                                 step.direction)
-            self.term = apply_axiom(self.term, shifted)
-            self.steps.append(shifted)
-            self.budget.spend()
+    def splice(self, position, proof: ProofTrace):
+        """Place a finished proof of the subterm at `position`."""
+        position = tuple(position)
+        self.term = _replace(self.term, position, proof.start, proof.end,
+                             "sub-proof")
+        self.steps.extend(proof.steps if not position else (
+            step.moved(position + step.position, step.direction)
+            for step in proof.steps))
 
-
-def invert_steps(steps):
-    return [step.moved(step.position,
-                       "RL" if step.direction == "LR" else "LR")
-            for step in reversed(steps)]
+    def trace(self) -> ProofTrace:
+        return ProofTrace(self.start, tuple(self.steps), self.term)
 
 
 @dataclass(frozen=True)
@@ -612,7 +627,7 @@ def normalize_nd(term, budget: int = 100000):
     probabilistic term's is its canonical spine.  Returns (term, trace)."""
     rw = _Rewriter(term, _Budget(budget))
     _normalize_at(rw, [])
-    return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
+    return rw.term, rw.trace()
 
 
 def normalize_p(term: PTerm, budget: int = 100000):
@@ -662,7 +677,7 @@ def derived_simple_bp(term, budget: int = 100000):
     else:
         raise ShapeError(
             "expected a.D(E + tau.P), a.(D(tau.P) +[r] R) or a.D(tau.P)")
-    return rw.term, ProofTrace(term, tuple(rw.steps), rw.term)
+    return rw.term, rw.trace()
 
 
 def _sbp2_chain(rw: _Rewriter, alpha):
@@ -741,6 +756,17 @@ def _mixture(items, j):
             if s.action == action and weight[den(s.body)] != ZERO]
 
 
+def _memoized(method):
+    """Keep each proof the prover method makes, by its arguments: a
+    proof made once is placed again at no cost."""
+    def memo(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._proofs:
+            self._proofs[key] = method(self, *args)
+        return self._proofs[key]
+    return memo
+
+
 class _Prover:
     """Shared memoized engine behind the concretizers and prove_equal.
 
@@ -751,40 +777,35 @@ class _Prover:
 
     def __init__(self, budget: int = 100000):
         self.budget = _Budget(budget)
-        self._conc_memo: dict = {}
-        self._conc_nd_memo: dict = {}
-        self._form_memo: dict = {}
+        self._proofs: dict = {}
 
     # -- one form per term: the completeness proofs, strong and rooted
 
-    def normal_forms(self, a, b):
-        """Rewriters holding a and b, each normalized on the shared
-        budget.  Where the two forms meet, their steps prove a = b by
+    def normal_forms(self, a, b) -> tuple:
+        """Proofs of a = its normal form and b = its normal form, on the
+        shared budget.  Where the two forms meet, they prove a = b by
         soundness alone."""
         forms = (_Rewriter(a, self.budget), _Rewriter(b, self.budget))
         for rw in forms:
             _normalize_at(rw, [])
-        return forms
+        return tuple(rw.trace() for rw in forms)
 
-    def form(self, term, rooted: bool):
-        """(steps, form): steps prove term = form, and strong bisimilar
-        terms (rooted branching bisimilar ones when `rooted`) have one
-        form.  A choice's form has its components' forms, sorted and
-        merged.  A state's form is its normalized chain, continuations
-        concretized first when `rooted`, with each prefix body in its
-        strong form and no summand whose body mixes the other same-action
-        bodies: C right to left drops it, as _add_combo in reverse."""
-        key = (term, rooted)
-        if key in self._form_memo:
-            steps, out = self._form_memo[key]
-            return list(steps), out
+    @_memoized
+    def form(self, term, rooted: bool) -> ProofTrace:
+        """A proof of term = form, where strong bisimilar terms (rooted
+        branching bisimilar ones when `rooted`) have one form.  A
+        choice's form has its components' forms, sorted and merged.  A
+        state's form is its normalized chain, continuations concretized
+        first when `rooted`, with each prefix body in its strong form and
+        no summand whose body mixes the other same-action bodies: C right
+        to left drops it, as _add_combo in reverse."""
         rw = _Rewriter(term, self.budget)
         _normalize_at(rw, [])
         if isinstance(term, PTerm):
             spine = _items(_CHOICES, rw.term)
             for i, comp in enumerate(spine):
                 rw.splice(_elem_pos(_CHOICES, [], len(spine), i) + [0],
-                          self.form(comp.body, rooted)[0])
+                          self.form(comp.body, rooted))
             _sort_merge(rw, _CHOICES, [])
         else:
             if rooted:
@@ -793,7 +814,7 @@ class _Prover:
             for j, s in enumerate(items):
                 if isinstance(s, Prefix):
                     rw.splice(_elem_pos(_SUMS, [], len(items), j) + [0],
-                              self.form(s.body, False)[0])
+                              self.form(s.body, False))
             _normalize_at(rw, [])
             j = 0
             while j < len(items := summands(rw.term)):
@@ -805,36 +826,36 @@ class _Prover:
                                     self.budget)
                 _add_combo(without, items[j].action, match)
                 _normalize_at(without, [])
-                rw.splice([], invert_steps(without.steps))
-        self._form_memo[key] = (tuple(rw.steps), rw.term)
-        return rw.steps, rw.term
+                rw.splice([], without.trace().inverted())
+        return rw.trace()
 
-    def equal(self, a, b, forms=None) -> list:
-        """Steps for a = b, two rooted branching bisimilar terms: the
+    def _chain(self, *proofs) -> ProofTrace:
+        """One proof of the proofs in turn, each from where the one
+        before it ends."""
+        rw = _Rewriter(proofs[0].start, self.budget)
+        for proof in proofs:
+            rw.splice([], proof)
+        return rw.trace()
+
+    def equal(self, a, b, forms=None) -> ProofTrace:
+        """A proof of a = b, two rooted branching bisimilar terms: the
         steps of their normal forms (or of `forms`, as normal_forms gives
         them) where those meet, and otherwise each side's steps to its
         rooted form, the right side's inverted."""
         if a == b:
-            return []
-        rw_a, rw_b = forms or self.normal_forms(a, b)
-        if rw_a.term == rw_b.term:
-            return rw_a.steps + invert_steps(rw_b.steps)
-        (steps_a, form_a), (steps_b, form_b) = (
-            self.form(rw.term, True) for rw in (rw_a, rw_b))
-        if form_a != form_b:
-            raise ValueError("equivalent terms have different forms")
-        return (rw_a.steps + steps_a + invert_steps(steps_b)
-                + invert_steps(rw_b.steps))
+            return ProofTrace(a, (), b)
+        norm_a, norm_b = forms or self.normal_forms(a, b)
+        proofs = [norm_a, norm_b.inverted()]
+        if norm_a.end != norm_b.end:
+            proofs[1:1] = [self.form(norm_a.end, True),
+                           self.form(norm_b.end, True).inverted()]
+        return self._chain(*proofs)
 
     # -- concretization (full calculus)
 
-    def conc_prefix(self, action: Action, p: PTerm):
-        """(steps, pbar): steps prove action.p = action.pbar relative to
-        the prefix term; pbar is concrete."""
-        key = (action, p)
-        if key in self._conc_memo:
-            steps, pbar = self._conc_memo[key]
-            return list(steps), pbar
+    @_memoized
+    def conc_prefix(self, action: Action, p: PTerm) -> ProofTrace:
+        """A proof of action.p = action.pbar with pbar concrete."""
         rw = _Rewriter(Prefix(action, p), self.budget)
         _normalize_at(rw, [0])
         spine = _items(_CHOICES, rw.at([0]))
@@ -848,9 +869,7 @@ class _Prover:
                 self._conc_state(rw, action, spine=True)
             _reassociate(rw, _CHOICES, [0])
             _sort_merge(rw, _CHOICES, [0])
-        pbar = rw.term.body
-        self._conc_memo[key] = (tuple(rw.steps), pbar)
-        return rw.steps, pbar
+        return rw.trace()
 
     def _concretize_continuations(self, rw: _Rewriter, base) -> None:
         """Concretize every prefix body of the state chain at base."""
@@ -859,9 +878,9 @@ class _Prover:
         for j, s in enumerate(items):
             if not isinstance(s, Prefix):
                 continue
-            sub_steps, pbar = self.conc_prefix(s.action, s.body)
-            if pbar != s.body:
-                rw.splice(_elem_pos(_SUMS, base, len(items), j), sub_steps)
+            proof = self.conc_prefix(s.action, s.body)
+            if proof.end != s:
+                rw.splice(_elem_pos(_SUMS, base, len(items), j), proof)
 
     def _conc_state(self, rw: _Rewriter, action: Action, spine: bool):
         """Concretize the state E of the body D(E) under the prefix, or in
@@ -914,13 +933,10 @@ class _Prover:
 
     # -- the purely non-deterministic fragment (axiom B route)
 
-    def conc_nd(self, action: Action, e: NdTerm):
-        """(steps, ebar) for the nd fragment: steps prove
-        action.D(e) = action.D(ebar) with ebar concrete, using B."""
-        key = (action, e)
-        if key in self._conc_nd_memo:
-            steps, ebar = self._conc_nd_memo[key]
-            return list(steps), ebar
+    @_memoized
+    def conc_nd(self, action: Action, e: NdTerm) -> ProofTrace:
+        """A proof of action.D(e) = action.D(ebar) in the nd fragment,
+        with ebar concrete, using B."""
         rw = _Rewriter(Prefix(action, Dirac(e)), self.budget)
         base = [0, 0]
         while True:
@@ -930,10 +946,9 @@ class _Prover:
                 break
             items = summands(state)
             for j, s in enumerate(items):
-                sub_steps, _ = self.conc_nd(s.action, s.body.body)
-                if sub_steps:
-                    rw.splice(_elem_pos(_SUMS, base, len(items), j),
-                              sub_steps)
+                proof = self.conc_nd(s.action, s.body.body)
+                if proof.steps:
+                    rw.splice(_elem_pos(_SUMS, base, len(items), j), proof)
             state = rw.at(base)
             items = summands(state)
             tables = branching_analysis({state})
@@ -941,39 +956,27 @@ class _Prover:
                             and tables.dissolves(state, den(s.body))), None)
             if inert_j is None:
                 break
-            if len(items) == 1:
-                inner = items[0].body.body  # E_i0
+            if len(items) == 1:  # tau.D(E) as 0 + tau.D(E)
                 rw.apply(AxiomId.A4, base, "RL", {"E": state})
                 _SUMS.commute(rw, base)
-                rw.splice(base + [1],
-                          self._nd_prefix_eq(TAU, inner, Sum(inner, ZERO_TERM)))
-                rw.apply(AxiomId.B, [], "LR",
-                         {"alpha": action, "E": inner, "F": ZERO_TERM})
             else:
                 _move(rw, _SUMS, base, inert_j, len(items) - 1)
-                h_term = rw.at(base + [0])
-                inner = rw.at(base + [1]).body.body
-                rw.splice(base + [1],
-                          self._nd_prefix_eq(TAU, inner, Sum(inner, h_term)))
-                rw.apply(AxiomId.B, [], "LR",
-                         {"alpha": action, "E": inner, "F": h_term})
-        ebar = rw.at(base)
-        self._conc_nd_memo[key] = (tuple(rw.steps), ebar)
-        return rw.steps, ebar
+            h_term = rw.at(base + [0])
+            inner = rw.at(base + [1]).body.body
+            rw.splice(base + [1],
+                      self._nd_prefix_eq(TAU, inner, Sum(inner, h_term)))
+            rw.apply(AxiomId.B, [], "LR",
+                     {"alpha": action, "E": inner, "F": h_term})
+        return rw.trace()
 
-    def _nd_prefix_eq(self, action: Action, e1: NdTerm, e2: NdTerm) -> list:
-        """Steps for action.D(e1) = action.D(e2) in the nd fragment, where
-        the two states are branching bisimilar: concretize both and match
-        their identical strong normal forms."""
-        s1, b1 = self.conc_nd(action, e1)
-        s2, b2 = self.conc_nd(action, e2)
-        rw1, rw2 = self.normal_forms(Prefix(action, Dirac(b1)),
-                                     Prefix(action, Dirac(b2)))
-        if rw1.term != rw2.term:
-            raise ValueError(
-                "concrete normal forms differ for branching-equivalent "
-                "nd states")
-        return list(s1) + rw1.steps + invert_steps(rw2.steps) + invert_steps(s2)
+    def _nd_prefix_eq(self, action: Action, e1: NdTerm,
+                      e2: NdTerm) -> ProofTrace:
+        """A proof of action.D(e1) = action.D(e2) in the nd fragment,
+        where the two states are branching bisimilar: concretize both and
+        match their identical strong normal forms."""
+        conc1, conc2 = self.conc_nd(action, e1), self.conc_nd(action, e2)
+        norm1, norm2 = self.normal_forms(conc1.end, conc2.end)
+        return self._chain(conc1, norm1, norm2.inverted(), conc2.inverted())
 
 
 # ---------------------------------------------------------------------------
@@ -983,10 +986,8 @@ class _Prover:
 def concretize(p: PTerm, budget: int = 100000):
     """A concrete process equal to p under any prefix, plus the trace of
     tau.p = tau.pbar (the silent action as representative prefix)."""
-    prover = _Prover(budget)
-    steps, pbar = prover.conc_prefix(TAU, p)
-    trace = ProofTrace(Prefix(TAU, p), tuple(steps), Prefix(TAU, pbar))
-    return pbar, trace
+    trace = _Prover(budget).conc_prefix(TAU, p)
+    return trace.end.body, trace
 
 
 def concretize_nd(e: NdTerm, budget: int = 100000):
@@ -994,11 +995,8 @@ def concretize_nd(e: NdTerm, budget: int = 100000):
     trace discharges inert steps with axiom B."""
     if not is_nd_fragment(e):
         raise FragmentError("term is outside the non-deterministic fragment")
-    prover = _Prover(budget)
-    steps, ebar = prover.conc_nd(TAU, e)
-    trace = ProofTrace(Prefix(TAU, Dirac(e)), tuple(steps),
-                       Prefix(TAU, Dirac(ebar)))
-    return ebar, trace
+    trace = _Prover(budget).conc_nd(TAU, e)
+    return trace.end.body.body, trace
 
 
 def prove_equal(left, right, budget: int = 100000):
@@ -1026,11 +1024,10 @@ def prove_equal(left, right, budget: int = 100000):
             forms = prover.normal_forms(start, end)
         except BudgetExceededError:
             pass  # refute below; an equivalent pair raises again in equal
-        if forms is None or forms[0].term != forms[1].term:
+        if forms is None or forms[0].end != forms[1].end:
             verdict = decide("rooted-branching", left, right)
             if not verdict.equivalent:
                 return verdict
-    steps = prover.equal(start, end, forms=forms)
-    trace = ProofTrace(start, tuple(steps), end)
+    trace = prover.equal(start, end, forms=forms)
     trace.replay()
     return trace

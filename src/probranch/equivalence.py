@@ -401,13 +401,15 @@ def _profiles(check, ctx, members: list) -> dict:
 
 def _split_action(check, ctx, one: NdTerm, other: NdTerm) -> list:
     """The action that tells two states of different classes apart, as
-    an action path: the smallest action of a (challenge, mid) of their
-    joint pool that exactly one of them answers.  The pool is in action
-    order, so the first difference found is the smallest."""
-    pool, mids = _pool(check, ctx, [one, other])
-    return next([action.name] for action, end in pool for mid in mids
-                if (not check.respond(ctx, one, action, end, mid)) != (
-                    not check.respond(ctx, other, action, end, mid)))
+    an action path: the smallest action of a challenge of their joint
+    pool that exactly one of them answers, each from its own mid
+    signature.  The pool is in action order, so the first difference
+    found is the smallest."""
+    pool, _ = _pool(check, ctx, [one, other])
+    mid_one, mid_other = check.mid_of(ctx, one), check.mid_of(ctx, other)
+    return next([action.name] for action, end in pool
+                if (not check.respond(ctx, one, action, end, mid_one)) != (
+                    not check.respond(ctx, other, action, end, mid_other)))
 
 
 def shape(state: NdTerm) -> frozenset:

@@ -645,7 +645,8 @@ def test_form_agrees_with_the_decider():
         for relation, rooted in (("strong", False),
                                  ("rooted-branching", True)):
             prover = axioms._Prover()
-            same = prover.form(left, rooted)[1] == prover.form(right, rooted)[1]
+            same = (prover.form(left, rooted).end
+                    == prover.form(right, rooted).end)
             assert same == decide(relation, left, right).equivalent, (
                 relation, print_term(left), print_term(right))
             seen[relation].add(same)
@@ -707,10 +708,10 @@ def test_prove_equal_shortcut_matches_full_path():
             sort=sort, rewrites=4)
         trace = prove_equal(left, right)
         assert check("rooted-branching", left, right).equivalent
-        steps = axioms._Prover().equal(left, right)
-        assert trace.steps == tuple(steps), print_term(left)
+        assert trace.steps == axioms._Prover().equal(left, right).steps, (
+            print_term(left))
         forms = axioms._Prover().normal_forms(left, right)
-        met += forms[0].term == forms[1].term
+        met += forms[0].end == forms[1].end
     assert met == 50  # every draw takes the shortcut
 
 
@@ -738,26 +739,57 @@ def test_prove_equal_refutes_past_the_budget():
         prove_equal(left, nd("a.D(0) + b.D(0) + c.D(0)"), budget=1)
 
 
-def test_prove_equal_normalizes_each_side_once(monkeypatch):
-    # The C-saturation pair with the longest normalization: 7 of its
-    # steps normalize the two sides, and a second normalization would
-    # spend them again.
-    e, f = _c_saturation_pairs(8)[7]
-    budgets = []
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every _Budget made while the test runs, in order."""
+    made = []
 
     class Recording(axioms._Budget):
         def __init__(self, limit):
             super().__init__(limit)
-            budgets.append(self)
+            made.append(self)
 
     monkeypatch.setattr(axioms, "_Budget", Recording)
+    return made
+
+
+def test_prove_equal_normalizes_each_side_once(budgets):
+    # The C-saturation pair with the longest normalization: 7 of its
+    # steps normalize the two sides, and a second normalization would
+    # spend them again.  Under a prefix the prover makes the same steps
+    # one level down, and placing them there costs nothing.
+    e, f = _c_saturation_pairs(8)[7]
     a = Action("a")
-    for left, right, used in ((e, f, 23),
-                              (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)), 35)):
+    for left, right in ((e, f), (Prefix(a, Dirac(e)), Prefix(a, Dirac(f)))):
         budgets.clear()
         trace = prove_equal(left, right)
         assert "C" in trace.rule_multiset()
-        assert [budget.used for budget in budgets] == [used]
+        assert [budget.used for budget in budgets] == [17]
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_concretize_makes_and_charges_each_step_once(budgets, monkeypatch,
+                                                     n):
+    """The tau-chain D(a.D(tau.D(...))) with n a/tau pairs concretizes in
+    n steps, one per nested prefix.  Each step is verified by apply_axiom
+    and charged where it is made, and placing a finished sub-proof under
+    the next prefix re-applies and charges nothing: n units, and 2n
+    apply_axiom runs with the replay that prints the trace."""
+    applied = []
+    apply_axiom = axioms.apply_axiom
+
+    def counting(term, step):
+        applied.append(step)
+        return apply_axiom(term, step)
+
+    monkeypatch.setattr(axioms, "apply_axiom", counting)
+    chain = pt("D(" + "a.D(tau.D(" * n + "0" + "))" * n + ")")
+    _, trace = concretize(chain, budget=n)
+    assert len(trace.to_jsonl().splitlines()) == len(trace.steps) == n
+    assert [budget.used for budget in budgets] == [n]
+    assert len(applied) == 2 * n
+    with pytest.raises(BudgetExceededError):
+        concretize(chain, budget=n - 1)
 
 
 def test_trace_jsonl():

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -28,7 +29,7 @@ from probranch.equivalence import (
 )
 from probranch.harness import GenConfig, gen_nd, gen_p
 from probranch.lp import LP
-from probranch.parse import parse_nd, parse_p, parse_term
+from probranch.parse import parse_nd, parse_p, parse_term, print_term
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
 from probranch.terms import TAU, ZERO_TERM, nd_key
@@ -254,11 +255,11 @@ _PINNED_VERDICTS = [
          "action_path": ["tau"],
          "class_signature_left": {"tau.D(a.D(0))": "1/1"},
          "class_signature_right": {"a.D(0)": "1/1"}}}),
-    # `a` does not separate this pair (only `b` does): the pin records the
-    # witness as the decider builds it until its action is mended
+    # only `b` separates this pair: each side answers `a` from its own
+    # stable row
     ("branching", "a.D(0)", "a.D(0) + b.D(0)",
      {"equivalent": False, "relation": "branching", "witness": {
-         "action_path": ["a"],
+         "action_path": ["b"],
          "class_signature_left": {"a.D(0)": "1/1"},
          "class_signature_right": {"a.D(0) + b.D(0)": "1/1"}}}),
     ("rooted-branching", "D(tau.D(a.D(0))) +[1/2] D(b.D(0))",
@@ -290,6 +291,47 @@ def test_verdict_json_is_pinned(relation, left, right, expected):
         left, right = parse_term(left), parse_term(right)
     verdict = decide(relation, left, right)
     assert json.dumps(verdict.to_json()) == json.dumps(expected)
+
+
+def test_branching_witness_action_separates_the_representatives(
+        monkeypatch):
+    """Over 300 seeded inequivalent branching pairs, the witness names an
+    action that exactly one of the two representatives answers: some
+    challenge of that action from their joint moves is answered, each
+    from its own stable row, by one of them and not by the other."""
+    split_calls = []
+    split = equivalence._split_action
+
+    def recording(check, tables, one, other):
+        split_calls.append((tables, one, other))
+        return split(check, tables, one, other)
+
+    monkeypatch.setattr(equivalence, "_split_action", recording)
+    rng = random.Random(5)
+    pairs = 0
+    while pairs < 300:
+        left, right = (gen_nd(GenConfig(seed=rng.randrange(2 ** 32),
+                                        max_complexity=rng.randint(3, 9)))
+                       for _ in range(2))
+        split_calls.clear()
+        verdict = decide("branching", left, right)
+        if verdict.equivalent:
+            continue
+        pairs += 1
+        [(tables, one, other)] = split_calls
+        [name] = verdict.witness["action_path"]
+
+        def answers(state, action, end):
+            return tables.transfer_feasible(
+                dirac(state), action, end, tables.stabsig_state[state])
+
+        challenges = {(tr.action, tables.stab_sig(tr.target))
+                      for state in (one, other)
+                      for tr in nd_transitions(state)
+                      if tr.action.name == name}
+        assert any(answers(one, action, end) != answers(other, action, end)
+                   for action, end in challenges), (
+            name, print_term(one), print_term(other))
 
 
 def test_inclusion_chain_on_samples():

@@ -33,11 +33,14 @@ actions (`reach`) are kept on the state node, like its order key.
   onto the challenge target's classes: one linear feasibility problem
   over firing masses.
 
-* rooted-branching — strong first step, branching continuations.
-  Rooted refines branching, so each branching class is split once more
-  by the same profile step: members are grouped by the first-step
-  challenges they answer with a full combined step whose target
-  stabilizes onto the challenge's classes.  States, terms and
+* rooted-branching — strong first step, branching continuations.  Only
+  the continuations, the support states of the roots' transition
+  targets, are analysed: branching classes restricted to a
+  derivative-closed set are that set's own classes.  The roots are
+  then grouped, in one profile step, by the first-step challenges they
+  answer with a full combined step whose target stabilizes onto the
+  challenge's classes.  Equal profiles mean mutual matching, so no
+  grouping by branching class is needed first.  States, terms and
   distributions all go through this one step.
 
 Each matching question is one LP.  A direct step — strong bisimilarity,
@@ -611,23 +614,10 @@ def strong_partition(roots: Iterable[NdTerm]) -> Partition:
 _ROOTED_CHECK = _StrongCheck(_Tables.stab_sig)
 
 
-def rooted_partition_over(tables: _Tables,
-                          states: Iterable[NdTerm]) -> Partition:
-    """Rooted-branching state classes restricted to the given states.
-
-    Rooted refines branching, so members of each branching class are
-    grouped by the set of first-step challenges they can answer, one
-    member per shape; a state answers its own challenges, so equal
-    profiles give mutual matching.
-    """
-    by_class: dict = {}
-    for s in sorted(set(states), key=nd_key):
-        by_class.setdefault(tables.partition.class_of(s), []).append(s)
-    groups = []
-    for members in by_class.values():
-        groups.extend(
-            _profiles(_ROOTED_CHECK, tables, members).values())
-    return partition_from_classes(groups)
+def _continuations(states: Iterable[NdTerm]) -> set:
+    """The support states of every transition target of the states."""
+    return {t for s in states for tr in nd_transitions(s)
+            for t in tr.target.support}
 
 
 def _as_dist(side) -> Distribution:
@@ -643,8 +633,9 @@ def decide(relation: str, left, right) -> Verdict:
     or distributions: equal signatures over the relation's classes of
     the joint derivatives.  Strong reads class masses on the strong
     partition; branching reads stable signatures on the final branching
-    tables; rooted branching reads class masses on the rooted classes
-    within them."""
+    tables; rooted branching reads class masses on the rooted classes of
+    the sides' support states, one profile step on the final branching
+    tables of their continuations."""
     mu, nu = _as_dist(left), _as_dist(right)
     states = mu.support + nu.support
     if relation == "strong":
@@ -655,8 +646,9 @@ def decide(relation: str, left, right) -> Verdict:
         partition, signature = ctx.partition, ctx.stab_sig
         witness_check = _BranchingCheck()
     elif relation == "rooted-branching":
-        ctx = branching_analysis(states)
-        partition = rooted_partition_over(ctx, states)
+        ctx = branching_analysis(_continuations(states))
+        partition = partition_from_classes(_profiles(
+            _ROOTED_CHECK, ctx, sorted(set(states), key=nd_key)).values())
         signature, witness_check = partition.sig, _ROOTED_CHECK
     else:
         raise ValueError(f"unknown relation: {relation!r}")
@@ -740,9 +732,11 @@ def sqsubseteq(state: NdTerm, p: PTerm) -> bool:
     """Every transition of the state is directly matched by the
     probabilistic term: for each E -a-> mu there is den(P) -(a)-> nu with
     mu and nu branching bisimilar.  The silent case may move only part of
-    den(P) (or nothing); a visible step is a full combined transition."""
+    den(P) (or nothing); a visible step is a full combined transition.
+    Only the state's continuations and den(P)'s support are analysed."""
     target = den(p)
-    tables = branching_analysis((state,) + target.support)
+    tables = branching_analysis(
+        _continuations((state,)).union(target.support))
     stab_sig = tables.stab_sig
     return all(
         _direct_step(stab_sig, target, tr.action, stab_sig(tr.target),

@@ -2,9 +2,12 @@
 independent representations must agree."""
 
 import itertools
+import json
 import random
+from collections import Counter
 
 from probranch import equivalence
+from probranch import lp as lp_module
 from probranch.axioms import apply_axiom, normalize_nd
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
@@ -31,11 +34,13 @@ from probranch.equivalence import (
 from probranch.harness import (
     _UNCONDITIONAL,
     GenConfig,
+    _conditional_instance,
     _instances_at,
     _positions,
     gen_nd,
     gen_p,
     random_equivalent_pair,
+    random_sound_application,
 )
 from probranch.lp import LP
 from probranch.rat import ONE, ZERO, rat
@@ -51,11 +56,17 @@ from probranch.terms import (
     Action,
     Dirac,
     PChoice,
+    PTerm,
     Prefix,
     Sum,
     nd_key,
 )
-from oracle import weak_reachable
+from oracle import (
+    rooted_classes_full_closure,
+    rooted_verdict_full_closure,
+    sqsubseteq_full_closure,
+    weak_reachable,
+)
 
 
 def _hull_contains(gens, point):
@@ -259,6 +270,151 @@ def test_rooted_check_matches_pairwise_oracle():
             same = partition.index_of(left) == partition.index_of(right)
             outcomes.add("within" if same else "across")
     assert outcomes == {"equivalent", "within", "across"}
+
+
+def _silent_prefix(term):
+    if isinstance(term, PTerm):
+        return Dirac(Prefix(TAU, term))
+    return Prefix(TAU, Dirac(term))
+
+
+def _rooted_pairs(count):
+    """Seeded (family, left, right) pairs from four families in turn: two
+    gen_nd states, two gen_p terms, the two sides of a
+    random_equivalent_pair, of either sort, and of a
+    random_sound_application, whose family names its axiom.  Half the
+    pairs of the last two families put a silent step in front of their
+    right side, which branching bisimilarity absorbs and the rooted first
+    step may not."""
+    rng = random.Random(31)
+    for k in range(count):
+        size = rng.randint(3, 8)
+
+        def config():
+            return GenConfig(seed=rng.randrange(2 ** 32), max_complexity=size)
+
+        family = ("gen_nd", "gen_p", "equivalent", "application")[k % 4]
+        if family == "gen_nd":
+            left, right = gen_nd(config()), gen_nd(config())
+        elif family == "gen_p":
+            left, right = gen_p(config()), gen_p(config())
+        elif family == "equivalent":
+            left, right = random_equivalent_pair(
+                rng, config(), sort=("p", "nd")[k // 4 % 2])
+        else:
+            left, step, right = random_sound_application(rng, config())
+            family = step.axiom.name
+        if k // 4 % 4 >= 2 and k % 4 >= 2:
+            right = _silent_prefix(right)
+        yield family, left, right
+
+
+def test_rooted_route_matches_the_full_closure_route(monkeypatch):
+    """Over 320 seeded pairs, the rooted classes that `decide` builds
+    from the continuations' branching classes equal, as sets, those of
+    the full-closure route (oracle.rooted_classes_full_closure), and
+    the verdict JSON, witness included, is the same."""
+    made = []
+    make = equivalence.partition_from_classes
+
+    def recording(classes):
+        made.append(make(classes))
+        return made[-1]
+
+    monkeypatch.setattr(equivalence, "partition_from_classes", recording)
+    outcomes, families = Counter(), Counter()
+    for family, left, right in _rooted_pairs(320):
+        families[family] += 1
+        verdict = decide("rooted-branching", left, right)
+        roots = (equivalence._as_dist(left).support
+                 + equivalence._as_dist(right).support)
+        assert made[-1] == rooted_classes_full_closure(roots)[0], (
+            left, right)
+        assert json.dumps(verdict.to_json()) == json.dumps(
+            rooted_verdict_full_closure(left, right).to_json()), (left, right)
+        branching = decide("branching", left, right).equivalent
+        outcomes[verdict.equivalent, branching] += 1
+    assert families["BP"] + families["G"] > 0, families
+    assert all(outcomes[key] >= 20 for key in (
+        (True, True), (False, True), (False, False))), outcomes
+
+
+def test_sqsubseteq_matches_the_full_closure_route():
+    """On 300 seeded (state, p) pairs, E against a gen_p term, against
+    the side-condition body D(E + G) of BP, and E + tau.Q against it,
+    sqsubseteq over the continuations' classes agrees with the
+    full-closure route (oracle.sqsubseteq_full_closure)."""
+    rng = random.Random(37)
+    outcomes = Counter()
+    for _ in range(100):
+        e, g = (gen_nd(GenConfig(seed=rng.randrange(2 ** 32),
+                                 max_complexity=rng.randint(2, 6)))
+                for _ in range(2))
+        q = gen_p(GenConfig(seed=rng.randrange(2 ** 32), max_complexity=4))
+        body = Dirac(Sum(e, g))
+        for state, p in ((e, q), (e, body), (Sum(e, Prefix(TAU, q)), body)):
+            answer = sqsubseteq(state, p)
+            assert answer == sqsubseteq_full_closure(state, p), (state, p)
+            outcomes[answer] += 1
+    assert min(outcomes[True], outcomes[False]) >= 50, outcomes
+
+
+def test_rooted_decide_analyses_only_the_continuations(monkeypatch):
+    """Every universe that rooted `decide` hands to _branching_analysis
+    lies in the closure of the sides' continuations, the support states
+    of their transition targets, so a root in it is a derivative of a
+    continuation."""
+    universes = []
+    analyse = equivalence._branching_analysis
+
+    def recording(states):
+        universes.append(states)
+        return analyse(states)
+
+    monkeypatch.setattr(equivalence, "_branching_analysis", recording)
+    for _, left, right in _rooted_pairs(120):
+        universes.clear()
+        decide("rooted-branching", left, right)
+        roots = set(equivalence._as_dist(left).support
+                    + equivalence._as_dist(right).support)
+        reached = frozenset().union(*(
+            derivatives(t) for r in roots for tr in nd_transitions(r)
+            for t in tr.target.support))
+        assert universes, (left, right)
+        for universe in universes:
+            assert universe <= reached, (left, right)
+
+
+def test_rooted_route_pivots_less_on_conditional_applications(monkeypatch):
+    """On 30 seeded BP and G applications, each decided with cold
+    analysis and LP caches, the route over the continuations pivots
+    strictly less than the full-closure route."""
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(30):
+        before, step = _conditional_instance(
+            rng, GenConfig(seed=rng.randrange(2 ** 32), max_complexity=10))
+        pairs.append((before, apply_axiom(before, step)))
+    pivots = [0]
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+
+    def pivot_count(route):
+        pivots[0] = 0
+        for before, after in pairs:
+            equivalence._branching_analysis.cache_clear()
+            lp_module._simplex.cache_clear()
+            assert route(before, after).equivalent, (before, after)
+        return pivots[0]
+
+    assert pivot_count(lambda left, right: decide(
+        "rooted-branching", left, right)) < pivot_count(
+            rooted_verdict_full_closure)
 
 
 def _same_action_root_sets(count):

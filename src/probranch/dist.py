@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .rat import ZERO, ONE, rat
 from .terms import (
@@ -63,9 +63,11 @@ class Distribution(Hashed):
         return "{" + inner + "}"
 
 
-def distribution(masses: Mapping[NdTerm, object] | Iterable) -> Distribution:
-    """Build a canonical Distribution from a mapping or (term, mass) pairs."""
-    items = masses.items() if isinstance(masses, Mapping) else masses
+def distribution(masses: dict | Iterable) -> Distribution:
+    """Build a canonical Distribution from a dict or (term, mass) pairs.
+    The test is for dict itself: an isinstance test against an abstract
+    Mapping walks the ABC subclass tree on its first call in a process."""
+    items = masses.items() if isinstance(masses, dict) else masses
     acc: dict[NdTerm, object] = {}
     for term, m in items:
         m = m if not isinstance(m, int) else rat(m)

@@ -8,14 +8,24 @@
     action   := [a-z][a-z0-9_]*                 ('tau' is the silent action)
 
 Choice weights outside (0,1) are rejected at parse time.
+
+One regular-expression scan turns the text into a list of plain token
+strings: whitespace is skipped, and a character that starts no token
+becomes a one-character token that no rule accepts.  A recursive descent
+reads the list by index, two Python frames per level of ``a.D(...)``
+nesting.  The first token picks the sort: ``D`` starts only a
+probabilistic term, and anything but ``(`` only a non-deterministic one,
+so only a leading ``(`` tries both parses.  A failing rule names the
+index of the token it stopped at, and only then is the text scanned
+again, for the token's line and column and for a character that starts
+no token, which is reported first wherever it is.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
-from .rat import ZERO, ONE, rat
+from .rat import rat
 from .terms import (
     Action,
     Dirac,
@@ -37,170 +47,140 @@ class ParseError(ValueError):
         self.token = token
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+_LEXEME = r"\+\[|[+().\]/D]|\d+|[a-z][a-z0-9_]*"
+_LEXEME_RE = re.compile(_LEXEME)
+_SCAN_RE = re.compile(rf"\s*({_LEXEME}|\S)")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<PLUSSQ>\+\[)
-  | (?P<PLUS>\+)
-  | (?P<LPAR>\()
-  | (?P<RPAR>\))
-  | (?P<RSQ>\])
-  | (?P<DOT>\.)
-  | (?P<SLASH>/)
-  | (?P<DIRAC>D)
-  | (?P<INT>\d+)
-  | (?P<IDENT>[a-z][a-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """One scan of the text; a gap between two matches, or after the
-    last, is an unexpected character."""
-    tokens = []
-    line, col, pos = 1, 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "WS":
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError("unexpected character", line, col, text[pos])
-    tokens.append(_Token("EOF", "<eof>", line, col))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of the text, then "" for its end."""
+    tokens = _SCAN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _Stop(Exception):
+    """A rule failed with `message` at token `index`."""
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
 
-    def error(self, message: str) -> ParseError:
-        tok = self.current
-        return ParseError(message, tok.line, tok.column, tok.text)
 
-    def accept(self, kind: str):
-        if self.current.kind == kind:
-            tok = self.current
-            self.pos += 1
-            return tok
-        return None
+def _nd(tokens: list, i: int):
+    """An ndterm from token i: (term, index of the token after it)."""
+    term = None
+    while True:
+        tok = tokens[i]
+        if tok == "0":
+            summand = ZERO_TERM
+            i += 1
+        elif "a" <= tok < "{":  # an action name
+            if tokens[i + 1] != ".":
+                raise _Stop("expected '.' after action", i + 1)
+            body, i = _patom(tokens, i + 2)
+            summand = Prefix(Action(tok), body)
+        elif tok == "(":
+            summand, i = _nd(tokens, i + 1)
+            if tokens[i] != ")":
+                raise _Stop("expected ')'", i)
+            i += 1
+        else:
+            raise _Stop("expected '0', an action prefix, or '('", i)
+        term = summand if term is None else Sum(term, summand)
+        if tokens[i] != "+":
+            return term, i
+        i += 1
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.accept(kind)
-        if tok is None:
-            raise self.error(f"expected {what}")
-        return tok
 
-    def parse_ndterm(self) -> NdTerm:
-        term = self.parse_summand()
-        while self.accept("PLUS"):
-            term = Sum(term, self.parse_summand())
-        return term
+def _patom(tokens: list, i: int):
+    tok = tokens[i]
+    if tok == "D":
+        if tokens[i + 1] != "(":
+            raise _Stop("expected '(' after 'D'", i + 1)
+        body, i = _nd(tokens, i + 2)
+        term = Dirac(body)
+    elif tok == "(":
+        term, i = _pterm(tokens, i + 1)
+    else:
+        raise _Stop("expected 'D(' or '('", i)
+    if tokens[i] != ")":
+        raise _Stop("expected ')'", i)
+    return term, i + 1
 
-    def parse_summand(self) -> NdTerm:
-        if self.current.kind == "INT" and self.current.text == "0":
-            self.pos += 1
-            return ZERO_TERM
-        if self.current.kind == "IDENT":
-            name = self.accept("IDENT").text
-            self.expect("DOT", "'.' after action")
-            return Prefix(Action(name), self.parse_patom())
-        if self.accept("LPAR"):
-            term = self.parse_ndterm()
-            self.expect("RPAR", "')'")
+
+def _pterm(tokens: list, i: int):
+    left, i = _patom(tokens, i)
+    if tokens[i] != "+[":
+        return left, i
+    if not tokens[i + 1].isdecimal():
+        raise _Stop("expected an integer numerator", i + 1)
+    if tokens[i + 2] != "/":
+        raise _Stop("expected '/'", i + 2)
+    if not tokens[i + 3].isdecimal():
+        raise _Stop("expected a positive denominator", i + 3)
+    num, den = int(tokens[i + 1]), int(tokens[i + 3])
+    if den == 0:
+        raise _Stop("zero denominator", i + 3)
+    if tokens[i + 4] != "]":
+        raise _Stop("expected ']'", i + 4)
+    if not 0 < num < den:
+        raise _Stop(f"choice weight {rat(num, den)} outside (0,1)", i + 1)
+    right, i = _pterm(tokens, i + 5)
+    return PChoice(left, rat(num, den), right), i
+
+
+def _error(text: str, tokens: list, stop: _Stop) -> ParseError:
+    """The ParseError of `stop`, or of the first character of the text
+    that starts no token."""
+    message, index = stop.message, stop.index
+    for k, tok in enumerate(tokens[:-1]):
+        if not _LEXEME_RE.fullmatch(tok):
+            message, index = "unexpected character", k
+            break
+    ends = [m.end() for m in _SCAN_RE.finditer(text)]
+    ends.append(len(text))
+    offset = ends[index] - len(tokens[index])
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, line, column, tokens[index] or "<eof>")
+
+
+def _parse(text: str, tokens: list, rules: tuple):
+    """The term of the first rule that reads all the tokens; when none
+    does, the error of the one that got further, the first on a tie."""
+    stop = None
+    for rule in rules:
+        try:
+            term, i = rule(tokens, 0)
+            if tokens[i]:
+                raise _Stop("trailing input", i)
             return term
-        raise self.error("expected '0', an action prefix, or '('")
-
-    def parse_patom(self) -> PTerm:
-        if self.accept("DIRAC"):
-            self.expect("LPAR", "'(' after 'D'")
-            body = self.parse_ndterm()
-            self.expect("RPAR", "')'")
-            return Dirac(body)
-        if self.accept("LPAR"):
-            term = self.parse_pterm()
-            self.expect("RPAR", "')'")
-            return term
-        raise self.error("expected 'D(' or '('")
-
-    def parse_pterm(self) -> PTerm:
-        left = self.parse_patom()
-        if self.accept("PLUSSQ"):
-            first = self.current
-            weight = self.parse_rational()
-            self.expect("RSQ", "']'")
-            if not (ZERO < weight < ONE):
-                raise ParseError(f"choice weight {weight} outside (0,1)",
-                                 first.line, first.column, first.text)
-            right = self.parse_pterm()
-            return PChoice(left, weight, right)
-        return left
-
-    def parse_rational(self):
-        num = self.expect("INT", "an integer numerator")
-        self.expect("SLASH", "'/'")
-        den = self.expect("INT", "a positive denominator")
-        if int(den.text) == 0:
-            raise ParseError("zero denominator", den.line, den.column,
-                             den.text)
-        return rat(int(num.text), int(den.text))
-
-    def finish(self, term):
-        if self.current.kind != "EOF":
-            raise self.error("trailing input")
-        return term
-
-
-def _parse(tokens: list[_Token], rule):
-    p = _Parser(tokens)
-    return p.finish(rule(p))
+        except _Stop as exc:
+            if stop is None or exc.index > stop.index:
+                stop = exc
+    raise _error(text, tokens, stop)
 
 
 def parse_nd(text: str) -> NdTerm:
-    return _parse(_tokenize(text), _Parser.parse_ndterm)
+    return _parse(text, _tokenize(text), (_nd,))
 
 
 def parse_p(text: str) -> PTerm:
-    return _parse(_tokenize(text), _Parser.parse_pterm)
+    return _parse(text, _tokenize(text), (_pterm,))
 
 
 def parse_term(text: str):
-    """Parse either sort; non-deterministic terms are tried first.  When
-    neither parses, the error is that of the parse that got further, the
-    non-deterministic one on a tie.  The text is tokenized once, so a
-    tokenizer error is raised before either parse."""
+    """Parse either sort.  Only a leading '(' can start both, and then the
+    non-deterministic parse is tried first; when neither parses, the error
+    is that of the parse that got further, the non-deterministic one on a
+    tie.  Any other first token fails the other sort's parse at once, so
+    that parse is not tried."""
     tokens = _tokenize(text)
-    try:
-        return _parse(tokens, _Parser.parse_ndterm)
-    except ParseError as nd_err:
-        try:
-            return _parse(tokens, _Parser.parse_pterm)
-        except ParseError as p_err:
-            further = ((p_err.line, p_err.column)
-                       > (nd_err.line, nd_err.column))
-            raise (p_err if further else nd_err) from None
+    first = tokens[0]
+    rules = ((_pterm,) if first == "D"
+             else (_nd, _pterm) if first == "(" else (_nd,))
+    return _parse(text, tokens, rules)
 
 
 def print_nd(term: NdTerm) -> str:

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from probranch.cli import COMMANDS, _fill, _read, build_parser, main
+from probranch.cli import (
+    COMMANDS,
+    RELATIONS,
+    _fill,
+    _read,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -406,6 +413,33 @@ def test_depth_150_chain_checks_against_itself(relation):
         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"equivalent ({relation})\n"
+
+
+_PROFILED_MAIN = """
+import os, sys
+from probranch.cli import main
+entered = set()
+def profile(frame, event, arg):
+    if event == "call" and os.path.basename(frame.f_code.co_filename) == "typing.py":
+        entered.add(frame.f_code.co_name)
+sys.setprofile(profile)
+code = main(sys.argv[1:])
+sys.setprofile(None)
+print(code, sorted(entered))
+"""
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_check_of_a_choice_enters_no_typing_code(relation):
+    """A cold check never enters typing.py: an isinstance test against a
+    typing alias of an abstract class walks its subclass tree."""
+    left = "a.(D(b.D(0)) +[1/3] D(tau.D(c.D(0))))"
+    done = subprocess.run(
+        [sys.executable, "-c", _PROFILED_MAIN, "check", "--rel", relation,
+         "--left", left, "--right", left + " + a.D(0)"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1 []"
 
 
 def test_well_formed_check_imports_no_locale():

@@ -1,6 +1,10 @@
+import sys
+
 import pytest
 
+import oracle
 from probranch import parse
+from probranch.harness import GenConfig, gen_nd, gen_p
 from probranch.parse import (
     ParseError,
     parse_nd,
@@ -11,7 +15,7 @@ from probranch.parse import (
     print_term,
 )
 from probranch.rat import rat
-from probranch.terms import Dirac, PChoice, Prefix, Sum, Zero, ZERO_TERM
+from probranch.terms import Action, Dirac, PChoice, Prefix, Sum, Zero, ZERO_TERM
 
 
 def test_parse_basics():
@@ -141,3 +145,87 @@ def test_zero_only_in_nd_position():
     assert isinstance(parse_nd("0 + a.D(0)"), Sum)
     with pytest.raises(ParseError):
         parse_p("0")
+
+
+def _printed_terms(seeds):
+    for seed in seeds:
+        cfg = GenConfig(seed=seed, max_complexity=8)
+        yield print_term(gen_nd(cfg))
+        yield print_term(gen_p(cfg))
+
+
+# Characters to insert: every token start, whitespace, and characters
+# that start no token, among them a Unicode decimal digit (which \d and
+# int() accept) and a superscript digit (which they do not).
+_INSERTED = "09azD()[]+./ \n$_A\u00e9\u0663\u00b2"
+
+
+def _edits(text):
+    """Each one-character deletion and insertion of the text."""
+    for k in range(len(text)):
+        yield text[:k] + text[k + 1:]
+    for k in range(len(text) + 1):
+        for c in _INSERTED:
+            yield text[:k] + c + text[k:]
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column, exc.token
+
+
+def test_parsers_agree_with_the_reference_parser():
+    """Printed random terms, and one-character edits of some of them,
+    give the reference parser's term, or its error message, line, column
+    and token, through each of the three entries."""
+    texts = list(_printed_terms(range(200)))
+    edited = [e for text in texts[:8] for e in _edits(text)]
+    pairs = ((parse_term, oracle.parse_term), (parse_nd, oracle.parse_nd),
+             (parse_p, oracle.parse_p))
+    errors = 0
+    for text in texts + edited:
+        for parse_fn, reference in pairs:
+            want = _outcome(reference, text)
+            assert _outcome(parse_fn, text) == want, text
+            errors += isinstance(want, tuple)
+    assert errors > len(edited)  # most edits are syntax errors
+
+
+def _chain_text(depth):
+    return "a.D(" * depth + "0" + ")" * depth
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _deepest_chain(parse_fn, headroom):
+    """(depth, term): the deepest a.D(...) chain that parse_fn reads with
+    `headroom` frames left under the recursion limit, and its term."""
+    depth, parsed = 0, ZERO_TERM
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    try:
+        while True:
+            try:
+                term = parse_fn(_chain_text(depth + 1))
+            except RecursionError:
+                return depth, parsed
+            depth, parsed = depth + 1, term
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_parse_term_reads_chains_at_least_as_deep_as_the_reference():
+    reference, _ = _deepest_chain(oracle.parse_term, 150)
+    depth, parsed = _deepest_chain(parse_term, 150)
+    assert depth >= reference > 10
+    chain = ZERO_TERM
+    for _ in range(depth):
+        chain = Prefix(Action("a"), Dirac(chain))
+    assert parsed == chain

@@ -330,10 +330,6 @@ def _verify_side_condition(axiom: AxiomId, sub: dict):
         if not (is_nd_fragment(sub["E"]) and is_nd_fragment(sub["F"])):
             raise FragmentError(
                 "B applies only in the pure non-deterministic fragment")
-    elif axiom in (AxiomId.C, AxiomId.P3):
-        r = sub["r"]
-        if not (ZERO < r < ONE):
-            raise SideConditionError(f"{axiom.value}: weight {r} outside (0,1)")
 
 
 def _side_condition_witness(axiom: AxiomId, sub: dict) -> Optional[dict]:

@@ -55,9 +55,6 @@ class Distribution(Hashed):
                 return m
         return ZERO
 
-    def items(self):
-        return self.entries
-
     def __repr__(self):
         inner = ", ".join(f"{t!r}: {m}" for t, m in self.entries)
         return "{" + inner + "}"

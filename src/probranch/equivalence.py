@@ -2,46 +2,44 @@
 bisimilarity, inertness classification, concreteness predicates and the
 direct-matching preorder used by the conditional axioms.
 
-Strategy.  All three relations are decided by partition refinement over
-the joint derivative state set, with transfer conditions checked by
-exact-rational linear feasibility.  Refinement starts from the classes
-of states that can reach the same visible actions: branching
-bisimilarity preserves weak traces and strong bisimilarity is contained
-in it, so both relations refine that start, and the coarsest stable
-refinement of a partition that a bisimilarity refines is the
-bisimilarity itself.  A state's `shape` is its form modulo A1-A4/P1-P3:
-the set of its transitions, each read as its action and the `form` of
-its target, the target's masses per shape.  States of one shape are
-strongly bisimilar, so refinement never splits them: a round profiles
-the first member of each shape in a class and hands its profile to the
-others, and the rooted step does the same.  Shapes and reachable
-actions (`reach`) are kept on the state node, like its order key.
+Strategy.  Refinement runs over a derivative-closed state set, with
+transfer conditions checked by exact-rational linear feasibility.  It
+starts from the classes of states that can reach the same visible
+actions: branching bisimilarity preserves weak traces and strong
+bisimilarity is contained in it, so both relations refine that start,
+and the coarsest stable refinement of a partition that a bisimilarity
+refines is the bisimilarity itself.  A state's `shape` is its form
+modulo A1-A4/P1-P3: the set of its transitions, each read as its action
+and the `form` of its target, the target's masses per shape.  States of
+one shape are strongly bisimilar, so refinement never splits them: a
+round profiles the first member of each shape in a class and hands its
+profile to the others, and the root step does the same.  Shapes and
+reachable actions (`reach`) are kept on the state node, like its order
+key.  The three relations are decided by two recipes.
 
-* strong — a state pair survives iff every transition of one is matched
-  by a combined transition of the other with the same class-mass vector.
+* The analysis, for branching.  Silent transitions are classified inert
+  or not, bottom-up by structural complexity (silent steps strictly
+  lower complexity, so the classification is well-founded).  A stable
+  state's signature is its own class; an unstable state's is that of
+  the target of its first inert transition.  A distribution's stable
+  signature, its class masses once its inert moves have fired, is the
+  weighted sum of its states' signatures; two distributions are related
+  iff these are equal.  The transfer check for a state pair asks, per
+  challenge, for a weak derivative of the responder that stabilizes
+  onto the challenger's class, followed by a (possibly partial) step
+  whose result stabilizes onto the challenge target's classes: one
+  linear feasibility problem over firing masses.  The joint derivatives
+  of both sides are refined.
 
-* branching — silent transitions are classified inert or not, bottom-up
-  by structural complexity (silent steps strictly lower complexity, so
-  the classification is well-founded).  A stable state's signature is
-  its own class; an unstable state's is that of the target of its first
-  inert transition.  A distribution's stable signature, its class masses
-  once its inert moves have fired, is the weighted sum of its states'
-  signatures; two distributions are related iff these are equal.  The
-  transfer check for a state pair asks, per challenge, for a weak
-  derivative of the responder that stabilizes onto the challenger's
-  class, followed by a (possibly partial) step whose result stabilizes
-  onto the challenge target's classes: one linear feasibility problem
-  over firing masses.
-
-* rooted-branching — strong first step, branching continuations.  Only
-  the continuations, the support states of the roots' transition
-  targets, are analysed: branching classes restricted to a
-  derivative-closed set are that set's own classes.  The roots are
-  then grouped, in one profile step, by the first-step challenges they
-  answer with a full combined step whose target stabilizes onto the
-  challenge's classes.  Equal profiles mean mutual matching, so no
-  grouping by branching class is needed first.  States, terms and
-  distributions all go through this one step.
+* One root step, for strong and rooted branching, which answer every
+  first step with a direct step: a full combined step of the responder,
+  no silent move first.  Only the continuations, the support states of
+  the roots' transition targets, are refined, to strong classes or to
+  the final branching tables: classes of either relation restricted to
+  a derivative-closed set are that set's own classes.  One profile step
+  then groups the roots by the challenges they answer over those
+  classes.  A root answers its own challenges, so equal profiles mean
+  mutual matching.
 
 Each matching question is one LP.  A direct step — strong bisimilarity,
 the rooted first step and the matching preorder `sqsubseteq`, with no
@@ -58,7 +56,9 @@ both sides under the partition that decided it, and an action that
 separates them: the smallest action of a challenge that exactly one of
 two representatives answers, one from the first class where the left
 side has more mass and one from the first where the right side has
-more, profiled by the relation's own check.
+more, profiled by the relation's own check.  A strong or rooted witness
+labels classes of the two sides' own support states, a branching
+witness classes of their joint derivatives.
 
 The classes of the final branching partition group states whose point
 distributions are branching bisimilar; distribution-level equivalence
@@ -66,7 +66,7 @@ additionally identifies a point distribution with the mixture it
 silently dissolves into, which the stable signature captures.
 
 `decide` is the one verdict entry.  It takes a state, a probabilistic
-term or a distribution on each side, and per relation it reads the
+term or a distribution on each side, and per recipe it reads the
 classes, the signature that compares the two sides and the check that
 separates them in a witness.  `check` answers a branching or
 rooted-branching pair whose forms meet (`_forms_meet`, no proof steps)
@@ -134,6 +134,9 @@ class Partition:
         for t, m in mu.entries:
             out[self.index_of(t)] += m
         return tuple(out)
+
+    # A partition with no inert move is its own stable-signature table.
+    stab_sig = sig
 
 
 def partition_from_classes(classes: Iterable) -> Partition:
@@ -537,27 +540,24 @@ def _mismatch_witness(check, ctx, partition: Partition, left_sig,
 class _StrongCheck:
     """Direct steps: a state answers a challenge with a full combined
     step of its own, no silent move first, whose target has the
-    challenge's signature under `signature(ctx, target)`.  Strong
-    bisimilarity reads the class masses of a partition; the rooted first
-    step reads the stable signature of the final branching tables
-    (_ROOTED_CHECK).  `respond` returns the step's weights over
-    state_targets(state, action), or None."""
-
-    def __init__(self, signature=Partition.sig):
-        self.signature = signature
+    challenge's signature under `ctx.stab_sig`.  Strong bisimilarity
+    reads the class masses of a Partition; the rooted first step reads
+    the stable signature of the final branching tables.  `respond`
+    returns the step's weights over state_targets(state, action), or
+    None."""
 
     def context(self, partition: Partition):
         return partition
 
     def challenge_sig(self, ctx, target: Distribution):
-        return self.signature(ctx, target)
+        return ctx.stab_sig(target)
 
     def mid_of(self, ctx, state: NdTerm):
         return None
 
     def respond(self, ctx, state, action, end_sig, mid):
-        return _direct_step(lambda mu: self.signature(ctx, mu), dirac(state),
-                            action, end_sig, partial=False)
+        return _direct_step(ctx.stab_sig, dirac(state), action, end_sig,
+                            partial=False)
 
 
 def _direct_step(signature, mu: Distribution, action: Action, sig: tuple,
@@ -608,10 +608,7 @@ def strong_partition(roots: Iterable[NdTerm]) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Rooted branching bisimilarity
-
-
-_ROOTED_CHECK = _StrongCheck(_Tables.stab_sig)
+# Verdicts
 
 
 def _continuations(states: Iterable[NdTerm]) -> set:
@@ -630,26 +627,25 @@ def _as_dist(side) -> Distribution:
 
 def decide(relation: str, left, right) -> Verdict:
     """Decide the named relation between two states, probabilistic terms
-    or distributions: equal signatures over the relation's classes of
-    the joint derivatives.  Strong reads class masses on the strong
-    partition; branching reads stable signatures on the final branching
-    tables; rooted branching reads class masses on the rooted classes of
-    the sides' support states, one profile step on the final branching
-    tables of their continuations."""
+    or distributions: equal signatures of the two sides.  Branching reads
+    stable signatures on the final branching tables of the joint
+    derivatives.  Strong and rooted branching read class masses on the
+    sides' support states, grouped in one direct-step profile over the
+    strong classes or the final branching tables of their
+    continuations."""
     mu, nu = _as_dist(left), _as_dist(right)
     states = mu.support + nu.support
-    if relation == "strong":
-        ctx = partition = strong_partition(states)
-        signature, witness_check = partition.sig, _StrongCheck()
-    elif relation == "branching":
+    if relation == "branching":
         ctx = branching_analysis(states)
         partition, signature = ctx.partition, ctx.stab_sig
         witness_check = _BranchingCheck()
-    elif relation == "rooted-branching":
-        ctx = branching_analysis(_continuations(states))
+    elif relation in ("strong", "rooted-branching"):
+        ctx = (strong_partition if relation == "strong"
+               else branching_analysis)(_continuations(states))
+        witness_check = _StrongCheck()
         partition = partition_from_classes(_profiles(
-            _ROOTED_CHECK, ctx, sorted(set(states), key=nd_key)).values())
-        signature, witness_check = partition.sig, _ROOTED_CHECK
+            witness_check, ctx, sorted(set(states), key=nd_key)).values())
+        signature = partition.sig
     else:
         raise ValueError(f"unknown relation: {relation!r}")
     left_sig, right_sig = signature(mu), signature(nu)
@@ -672,7 +668,8 @@ def check(relation: str, left, right) -> Verdict:
     rooted-branching pair whose forms meet is equivalent, and no decider
     runs.  Strong pairs always go to the decider, for now:
     perfbench/test_bench.py needs its strong query, whose forms meet,
-    to solve an LP."""
+    to solve an LP.  `decide` answers the rest: by the root step for
+    strong and rooted branching, by the analysis for branching."""
     if relation in ("branching", "rooted-branching") and _forms_meet(
             left, right):
         return Verdict(True, relation)

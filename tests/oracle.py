@@ -1,10 +1,10 @@
 """References for the cross-checks: the plain weak-derivative membership
 test, which the deciders' flow LPs and the vertex enumeration of weak
-closures are compared against, and the full-closure route of the rooted
-first step and of the matching preorder, which the deciders' route over
-the continuations' classes is compared against, and the
-recursive-descent parser over a tuple per token, which ``parse_term``'s
-one-scan parser is compared against."""
+closures are compared against, and the full-closure route of strong
+bisimilarity, of the rooted first step and of the matching preorder,
+which the deciders' route over the continuations' classes is compared
+against, and the recursive-descent parser over a tuple per token, which
+``parse_term``'s one-scan parser is compared against."""
 
 from __future__ import annotations
 
@@ -13,14 +13,15 @@ from typing import NamedTuple
 
 from probranch.dist import Distribution, den, derivatives
 from probranch.equivalence import (
-    _ROOTED_CHECK,
     Verdict,
+    _StrongCheck,
     _as_dist,
     _direct_step,
     _mismatch_witness,
     _profiles,
     branching_analysis,
     partition_from_classes,
+    strong_partition,
 )
 from probranch.lp import LP
 from probranch.parse import ParseError
@@ -68,7 +69,7 @@ def rooted_classes_full_closure(roots) -> tuple:
         by_class.setdefault(tables.partition.class_of(s), []).append(s)
     groups = []
     for members in by_class.values():
-        groups.extend(_profiles(_ROOTED_CHECK, tables, members).values())
+        groups.extend(_profiles(_StrongCheck(), tables, members).values())
     return partition_from_classes(groups), tables
 
 
@@ -81,7 +82,21 @@ def rooted_verdict_full_closure(left, right) -> Verdict:
     if left_sig == right_sig:
         return Verdict(True, "rooted-branching")
     return Verdict(False, "rooted-branching", _mismatch_witness(
-        _ROOTED_CHECK, tables, partition, left_sig, right_sig))
+        _StrongCheck(), tables, partition, left_sig, right_sig))
+
+
+def strong_verdict_full_closure(left, right) -> Verdict:
+    """The strong verdict, witness included, on the strong partition of
+    the sides' whole joint closure, support states included: class
+    masses compared, and a witness whose classes are those of that
+    partition."""
+    mu, nu = _as_dist(left), _as_dist(right)
+    partition = strong_partition(mu.support + nu.support)
+    left_sig, right_sig = partition.sig(mu), partition.sig(nu)
+    if left_sig == right_sig:
+        return Verdict(True, "strong")
+    return Verdict(False, "strong", _mismatch_witness(
+        _StrongCheck(), partition, partition, left_sig, right_sig))
 
 
 def sqsubseteq_full_closure(state: NdTerm, p: PTerm) -> bool:

@@ -152,6 +152,58 @@ def test_apply_b_nd_fragment_only():
                               E=nd("c.D(0)"), F=nd("b.(D(0) +[1/2] D(0))")))
 
 
+def test_apply_g_rejects_e_not_matched_by_d_f():
+    # E's c-step has no answer from D(F), whose only state does b
+    e, f = nd("c.D(0)"), nd("b.D(0)")
+    lhs = Prefix(Action("a"), PChoice(Dirac(Sum(e, f)), rat(1, 2), pt("D(0)")))
+    with pytest.raises(SideConditionError, match="G: E is not directly"):
+        apply_axiom(lhs, step(AxiomId.G, [], "LR", alpha=Action("a"),
+                              E=e, F=f, Q=pt("D(0)"), r=rat(1, 2)))
+
+
+@pytest.mark.parametrize("r", [rat(0), rat(1), rat(3, 2)])
+def test_apply_rejects_a_c_or_p3_weight_outside_the_open_interval(r):
+    """The instance itself holds the weight as a choice, so the step is
+    refused while its sides are built, before any side condition."""
+    p, q = pt("D(b.D(0))"), pt("D(c.D(0))")
+    c_lhs = nd("a.D(b.D(0)) + a.D(c.D(0))")
+    with pytest.raises(ValueError, match=r"\(0,1\)"):
+        apply_axiom(c_lhs, step(AxiomId.C, [], "LR", alpha=Action("a"),
+                                P=p, Q=q, r=r))
+    with pytest.raises(ValueError, match=r"\(0,1\)"):
+        apply_axiom(p, step(AxiomId.P3, [], "RL", P=p, r=r))
+
+
+@pytest.mark.parametrize("weights,message", [
+    (dict(r=rat(1, 2), s=rat(1, 2), rbar=rat(1, 2), sbar=rat(3, 4)),
+     "inconsistent P2 re-weighting parameters"),
+    (dict(rbar=rat(1), sbar=rat(1)), "degenerate P2 parameters"),
+    (dict(r=rat(1, 2)), r"P2 requires \(r, s\) or \(rbar, sbar\)"),
+])
+def test_apply_p2_rejects_bad_weights(weights, message):
+    t = pt("D(a.D(0)) +[1/2] (D(b.D(0)) +[1/2] D(0))")
+    with pytest.raises(SubstitutionError, match=message):
+        apply_axiom(t, step(AxiomId.P2, [], "LR", P=pt("D(a.D(0))"),
+                            Q=pt("D(b.D(0))"), R=pt("D(0)"), **weights))
+
+
+def test_apply_rejects_a_missing_metavariable():
+    with pytest.raises(SubstitutionError, match="missing metavariable 'F'"):
+        apply_axiom(nd("a.D(0) + b.D(0)"),
+                    step(AxiomId.A1, [], "LR", E=nd("a.D(0)")))
+
+
+def test_replay_rejects_a_trace_that_ends_elsewhere():
+    start = nd("a.D(0) + b.D(0)")
+    swap = step(AxiomId.A1, [], "LR", E=nd("a.D(0)"), F=nd("b.D(0)"))
+    assert ProofTrace(start, (swap,), nd("b.D(0) + a.D(0)")).replay() == (
+        nd("b.D(0) + a.D(0)"))
+    trace = ProofTrace(start, (swap,), start)
+    with pytest.raises(ValueError, match="does not replay to its end term"):
+        trace.replay()
+    assert trace.terms is None
+
+
 # -------------------------------------------------------------- normalizers
 
 

@@ -16,6 +16,8 @@ from probranch.cli import (
     build_parser,
     main,
 )
+from probranch.parse import parse_nd
+from probranch.semantics import to_dot
 
 
 def run(capsys, *argv):
@@ -201,6 +203,28 @@ def test_lts_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "1/2" in out
+
+
+@pytest.mark.parametrize("form,term,sort", [
+    ("nd", "D(a.D(0)) +[1/2] D(b.D(0))", "a non-deterministic term"),
+    ("p", "a.D(0) + b.D(0)", "a probabilistic term"),
+])
+def test_normalize_of_the_other_sort_exit_two(capsys, form, term, sort):
+    code, out, err = run(capsys, "normalize", "--form", form, "--term", term)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error: expected {sort}")
+
+
+def test_lts_of_a_probabilistic_term_roots_its_support_states(capsys):
+    code, out, _ = run(capsys, "lts", "--term",
+                       "D(a.D(0)) +[1/2] D(b.D(c.D(0)))")
+    assert code == 0
+    roots = [parse_nd("a.D(0)"), parse_nd("b.D(c.D(0))")]
+    assert out == to_dot(roots) + "\n"
+    labels = {line.split('label="')[1].split('"')[0]
+              for line in out.splitlines() if "shape=ellipse" in line}
+    assert labels == {"a.D(0)", "b.D(c.D(0))", "c.D(0)", "0"}
 
 
 def test_fuzz_report(capsys):

@@ -14,7 +14,6 @@ from probranch.equivalence import (
     INERT,
     NEITHER,
     PARTIALLY_INERT,
-    _ROOTED_CHECK,
     _BranchingCheck,
     _StrongCheck,
     _pool,
@@ -43,6 +42,7 @@ from probranch.harness import (
     random_sound_application,
 )
 from probranch.lp import LP
+from probranch.parse import parse_nd
 from probranch.rat import ONE, ZERO, rat
 from probranch.semantics import (
     add_flow_result,
@@ -65,6 +65,7 @@ from oracle import (
     rooted_classes_full_closure,
     rooted_verdict_full_closure,
     sqsubseteq_full_closure,
+    strong_verdict_full_closure,
     weak_reachable,
 )
 
@@ -359,6 +360,16 @@ def test_sqsubseteq_matches_the_full_closure_route():
     assert min(outcomes[True], outcomes[False]) >= 50, outcomes
 
 
+def _continuation_closure(left, right) -> frozenset:
+    """The derivatives of the sides' continuations, the support states
+    of their support states' transition targets."""
+    roots = set(equivalence._as_dist(left).support
+                + equivalence._as_dist(right).support)
+    return frozenset().union(*(
+        derivatives(t) for r in roots for tr in nd_transitions(r)
+        for t in tr.target.support))
+
+
 def test_rooted_decide_analyses_only_the_continuations(monkeypatch):
     """Every universe that rooted `decide` hands to _branching_analysis
     lies in the closure of the sides' continuations, the support states
@@ -375,11 +386,99 @@ def test_rooted_decide_analyses_only_the_continuations(monkeypatch):
     for _, left, right in _rooted_pairs(120):
         universes.clear()
         decide("rooted-branching", left, right)
-        roots = set(equivalence._as_dist(left).support
-                    + equivalence._as_dist(right).support)
-        reached = frozenset().union(*(
-            derivatives(t) for r in roots for tr in nd_transitions(r)
-            for t in tr.target.support))
+        reached = _continuation_closure(left, right)
+        assert universes, (left, right)
+        for universe in universes:
+            assert universe <= reached, (left, right)
+
+
+def _strong_pairs(count):
+    """Seeded (family, left, right) pairs from four families in turn: two
+    gen_nd states, two gen_p terms, the two sides of a
+    random_sound_application, whose family names its axiom, and the two
+    sides of one with a fresh action z added to the right side, as a
+    summand of a state or a branch of a probabilistic term."""
+    rng = random.Random(47)
+    fresh = Prefix(Action("z"), Dirac(ZERO_TERM))
+    for k in range(count):
+        size = rng.randint(3, 10)
+
+        def config():
+            return GenConfig(seed=rng.randrange(2 ** 32), max_complexity=size)
+
+        family = ("gen_nd", "gen_p", "application", "fresh")[k % 4]
+        if family == "gen_nd":
+            left, right = gen_nd(config()), gen_nd(config())
+        elif family == "gen_p":
+            left, right = gen_p(config()), gen_p(config())
+        else:
+            left, step, right = random_sound_application(rng, config())
+            if family == "application":
+                family = step.axiom.name
+            elif isinstance(right, PTerm):
+                right = PChoice(right, rat(1, 2), Dirac(fresh))
+            else:
+                right = Sum(right, fresh)
+        yield family, left, right
+
+
+def test_strong_route_matches_the_full_closure_route():
+    """Over 3000 seeded pairs, strong `decide`, one root step over the
+    continuations' strong classes, gives the verdict of the full-closure
+    route (oracle.strong_verdict_full_closure).  A witness names classes
+    of the sides' support states, where the full-closure route names
+    their whole strong classes: mapped to those classes, its masses are
+    the full-closure route's.  Both routes take their representatives
+    from the first class where one side has more mass; when the
+    full-closure representatives are support states, they are the root
+    step's too, and the action paths are equal."""
+    outcomes, families, relabelled = Counter(), Counter(), 0
+    for family, left, right in _strong_pairs(3000):
+        families[family] += 1
+        verdict = decide("strong", left, right)
+        reference = strong_verdict_full_closure(left, right)
+        assert verdict.equivalent == reference.equivalent, (left, right)
+        outcomes[verdict.equivalent] += 1
+        if verdict.equivalent:
+            continue
+        mu, nu = (equivalence._as_dist(side) for side in (left, right))
+        roots = mu.support + nu.support
+        full = strong_partition(roots)
+        got, want = verdict.witness, reference.witness
+        for side in ("class_signature_left", "class_signature_right"):
+            mapped = {
+                equivalence._class_label(full.class_of(parse_nd(label))): mass
+                for label, mass in got[side].items()}
+            assert mapped == want[side], (left, right)
+            relabelled += got[side] != want[side]
+        left_sig, right_sig = full.sig(mu), full.sig(nu)
+        reps = {min(full.classes[next(
+            k for k, (m, n) in enumerate(zip(more, less)) if m > n)],
+            key=nd_key) for more, less in ((left_sig, right_sig),
+                                           (right_sig, left_sig))}
+        if reps <= set(roots):
+            assert got["action_path"] == want["action_path"], (left, right)
+    assert outcomes[True] >= 500 and outcomes[False] >= 2000, outcomes
+    assert families["BP"] + families["G"] > 0, families
+    assert relabelled > 0
+
+
+def test_strong_decide_refines_only_the_continuations(monkeypatch):
+    """Every universe that strong `decide` hands to _strong_partition
+    lies in the closure of the sides' continuations: the sides' support
+    states are grouped by one root step and never refined."""
+    universes = []
+    refine = equivalence._strong_partition
+
+    def recording(states):
+        universes.append(states)
+        return refine(states)
+
+    monkeypatch.setattr(equivalence, "_strong_partition", recording)
+    for _, left, right in _strong_pairs(120):
+        universes.clear()
+        decide("strong", left, right)
+        reached = _continuation_closure(left, right)
         assert universes, (left, right)
         for universe in universes:
             assert universe <= reached, (left, right)
@@ -471,7 +570,7 @@ def test_direct_step_matches_flow_lp():
                     challenges, key=lambda c: (c[0].name, repr(c[1]))):
                 for name, check_, ctx, inert in (
                         ("strong", _StrongCheck(), partition, {}),
-                        ("rooted", _ROOTED_CHECK, tables, tables.inert)):
+                        ("rooted", _StrongCheck(), tables, tables.inert)):
                     sig = check_.challenge_sig(ctx, target)
                     weights = check_.respond(ctx, responder, action, sig, None)
                     assert (weights is not None) == _flow_direct_step(

@@ -1,6 +1,6 @@
 import pytest
 
-from probranch import equivalence
+from probranch import equivalence, harness
 from probranch.axioms import ProofTrace, prove_equal
 from probranch.dist import den, derivatives, dirac
 from probranch.equivalence import decide
@@ -15,8 +15,15 @@ from probranch.harness import (
     run_property_suite,
     suite_names,
 )
-from probranch.parse import parse_nd, parse_p
-from probranch.terms import NdTerm, PTerm, Zero, ZERO_TERM, complexity
+from probranch.parse import parse_nd, parse_p, parse_term, print_term
+from probranch.terms import (
+    NdTerm,
+    Prefix,
+    PTerm,
+    Zero,
+    ZERO_TERM,
+    complexity,
+)
 
 import random
 
@@ -137,3 +144,50 @@ def test_suite_reports_reproducible():
     a = run_property_suite("inclusion_chain", 10, cfg)
     b = run_property_suite("inclusion_chain", 10, cfg)
     assert a == b
+
+
+def _gen_term(rng, cfg):
+    sub = GenConfig(seed=rng.randrange(2 ** 32),
+                    max_complexity=cfg.max_complexity)
+    return (gen_nd(sub) if rng.random() < 0.5 else gen_p(sub), "b-free")
+
+
+def _has_b(term) -> bool:
+    return any(isinstance(node, Prefix) and node.action.name == "b"
+               for _, node in harness._positions(term))
+
+
+def _check_b_free(inputs):
+    return ("no action b", "found") if _has_b(inputs[0]) else None
+
+
+def test_failing_suite_reports_sorted_shrunk_failures(monkeypatch):
+    """A suite whose check fails on every term with a b-prefix: the
+    report lists the failures by seed with their printed input terms.
+    A shrinkable suite reports a subterm of the generated term that
+    still fails and has no failing proper subterm of its sort; one that
+    cannot shrink keeps its input."""
+    cfg = GenConfig(seed=3, max_complexity=8)
+    monkeypatch.setitem(harness._SUITES, "b_free_shrunk",
+                        (_gen_term, _check_b_free, True))
+    monkeypatch.setitem(harness._SUITES, "b_free_kept",
+                        (_gen_term, _check_b_free, False))
+    shrunk = run_property_suite("b_free_shrunk", 30, cfg)["failures"]
+    kept = run_property_suite("b_free_kept", 30, cfg)["failures"]
+    seeds = [f["seed"] for f in kept]
+    assert len(seeds) >= 5 and seeds == sorted(seeds)
+    assert [f["seed"] for f in shrunk] == seeds
+    for small, big in zip(shrunk, kept):
+        assert small["expected"] == big["expected"] == "no action b"
+        assert small["got"] == big["got"] == "found"
+        original = _gen_term(random.Random(big["seed"]), cfg)[0]
+        assert big["input_terms"] == [print_term(original)]
+        [text] = small["input_terms"]
+        term = parse_term(text)
+        assert _check_b_free((term, "b-free")) is not None
+        assert term in {node for _, node in harness._positions(original)}
+        sort = NdTerm if isinstance(term, NdTerm) else PTerm
+        assert not any(isinstance(node, sort) and _has_b(node)
+                       for _, node in harness._positions(term)[1:]), term
+    assert any(small["input_terms"] != big["input_terms"]
+               for small, big in zip(shrunk, kept))

@@ -2,20 +2,19 @@
 bisimilarity, inertness classification, concreteness predicates and the
 direct-matching preorder used by the conditional axioms.
 
-Strategy.  Refinement runs over a derivative-closed state set, with
-transfer conditions checked by exact-rational linear feasibility.  It
-starts from the classes of states that can reach the same visible
-actions: branching bisimilarity preserves weak traces and strong
-bisimilarity is contained in it, so both relations refine that start,
-and the coarsest stable refinement of a partition that a bisimilarity
-refines is the bisimilarity itself.  A state's `shape` is its form
-modulo A1-A4/P1-P3: the set of its transitions, each read as its action
-and the `form` of its target, the target's masses per shape.  States of
-one shape are strongly bisimilar, so refinement never splits them: a
+Strategy.  A state's `shape` is its strong class, built bottom-up by
+complexity like the normal forms of axiom C: the set of its transitions,
+each read as its action and its target's `form` (masses per shape),
+without the targets that mix other targets of their action.  Strong
+steps are combined, so two states are bisimilar iff each action's
+targets span one hull, and equal hulls have equal vertices.  Shapes and
+reachable actions (`reach`) are kept on the state node.  Branching
+refinement runs over a derivative-closed state set from the classes of
+states that reach the same visible actions: the bisimilarity preserves
+weak traces, so it is the coarsest stable refinement of that start.  A
 round profiles the first member of each shape in a class and hands its
-profile to the others, and the root step does the same.  Shapes and
-reachable actions (`reach`) are kept on the state node, like its order
-key.  The three relations are decided by two recipes.
+profile to the others, and so does the root step.  The three relations
+are decided by two recipes.
 
 * The analysis, for branching.  Silent transitions are classified inert
   or not, bottom-up by structural complexity (silent steps strictly
@@ -34,9 +33,9 @@ key.  The three relations are decided by two recipes.
 * One root step, for strong and rooted branching, which answer every
   first step with a direct step: a full combined step of the responder,
   no silent move first.  Only the continuations, the support states of
-  the roots' transition targets, are refined, to strong classes or to
-  the final branching tables: classes of either relation restricted to
-  a derivative-closed set are that set's own classes.  One profile step
+  the roots' transition targets, are classed, by shape or by the final
+  branching tables: classes of either relation restricted to a
+  derivative-closed set are that set's own classes.  One profile step
   then groups the roots by the challenges they answer over those
   classes.  A root answers its own challenges, so equal profiles mean
   mutual matching.
@@ -46,10 +45,10 @@ the rooted first step and the matching preorder `sqsubseteq`, with no
 silent move before the step — is one hull LP, `_direct_step`, over the
 signatures of the responder's action-targets: class masses for strong,
 stable signatures for the other two.  The weak branching step is the
-flow LP of `_Tables.transfer_feasible`.  The prover (axioms.py) asks
-`_direct_step` whether a body of its own forms is a mixture of the
-other same-action bodies, over their masses per form state, and reads
-the weights of the mixture from the feasible point.
+flow LP of `_Tables.transfer_feasible`.  `shape` asks the hull LP
+(`_combination`) whether a target mixes the others, and the prover
+(axioms.py) asks `_direct_step` whether a body of its own forms mixes
+the other same-action bodies, and reads the weights from the point.
 
 A not-equivalent verdict of any relation carries the class masses of
 both sides under the partition that decided it, and an action that
@@ -70,8 +69,8 @@ term or a distribution on each side, and per recipe it reads the
 classes, the signature that compares the two sides and the check that
 separates them in a witness.  `check` answers a branching or
 rooted-branching pair whose forms meet (`_forms_meet`, no proof steps)
-as equivalent, since A1-A4/P1-P3 are sound, and sends every other pair
-to `decide`.
+as equivalent, since strong bisimilarity implies both, and sends every
+other pair to `decide`.
 
 Outside refinement, `inertness`, `is_rigid`, `is_concrete` and the
 prover read inertness off the final branching tables of the state's
@@ -364,8 +363,6 @@ class _Tables:
 
 
 def _sig_sort_key(sig):
-    if sig is None:
-        return ()
     return tuple((m.numerator, m.denominator) for m in sig)
 
 
@@ -373,7 +370,7 @@ def _pool(check, ctx, members) -> tuple:
     """The members' challenges, (action, continuation signature), in
     action order, and their mid signatures."""
     pool = sorted(
-        {(tr.action, check.challenge_sig(ctx, tr.target))
+        {(tr.action, ctx.stab_sig(tr.target))
          for m in members for tr in nd_transitions(m)},
         key=lambda c: (action_key(c[0]), _sig_sort_key(c[1])))
     mids = sorted({check.mid_of(ctx, m) for m in members},
@@ -419,21 +416,36 @@ def _split_action(check, ctx, one: NdTerm, other: NdTerm) -> list:
 
 
 def shape(state: NdTerm) -> frozenset:
-    """The state's form modulo A1-A4/P1-P3, kept on the node: the set of
-    its transitions, each read as its action and its target's `form`.
-    States of one shape are strongly bisimilar, so bisimilar under all
-    three relations."""
+    """The state's strong class, kept on the node: its form modulo
+    A1-A4/P1-P3 and C, the (action, target `form`) of its transitions,
+    less each target that is a mixture of its action's others."""
     out = state._shape
     if out is None:
-        moves = set()
+        targets: dict = {}
         for tr in nd_transitions(state):
-            moves.add((tr.action, form(tr.target)))
-        out = state.__dict__["_shape"] = frozenset(moves)
+            targets.setdefault(tr.action, {}).setdefault(
+                form(tr.target), tr.target)
+        out = state.__dict__["_shape"] = frozenset(
+            (action, f) for action, by_form in targets.items()
+            for f in _vertices(by_form))
     return out
 
 
+def _vertices(by_form: dict) -> list:
+    """The forms of {form: a target with it} that are no mixture of the
+    others, the hull's vertices: one hull LP per form, only for three or
+    more, over masses per shape, the shapes in their order in the targets."""
+    if len(by_form) < 3:
+        return list(by_form)
+    shapes = list(dict.fromkeys(
+        shape(s) for mu in by_form.values() for s in mu.support))
+    columns = [tuple(dict(f).get(sh, ZERO) for sh in shapes) for f in by_form]
+    return [f for j, f in enumerate(by_form) if _combination(
+        [(ONE, columns[:j] + columns[j + 1:])], columns[j]) is None]
+
+
 def form(mu: Distribution) -> frozenset:
-    """mu's form modulo A1-A4/P1-P3: its masses per shape."""
+    """mu's form, its masses per shape: its strong class masses."""
     masses: dict = {}
     for s, m in mu.entries:
         masses[shape(s)] = masses.get(shape(s), ZERO) + m
@@ -491,9 +503,6 @@ class _BranchingCheck:
     def context(self, partition: Partition) -> _Tables:
         return _Tables(partition)
 
-    def challenge_sig(self, tables: _Tables, target: Distribution):
-        return tables.stab_sig(target)
-
     def mid_of(self, tables: _Tables, state: NdTerm):
         return tables.stabsig_state[state]
 
@@ -546,14 +555,8 @@ class _StrongCheck:
     returns the step's weights over state_targets(state, action), or
     None."""
 
-    def context(self, partition: Partition):
-        return partition
-
-    def challenge_sig(self, ctx, target: Distribution):
-        return ctx.stab_sig(target)
-
     def mid_of(self, ctx, state: NdTerm):
-        return None
+        return ()
 
     def respond(self, ctx, state, action, end_sig, mid):
         return _direct_step(ctx.stab_sig, dirac(state), action, end_sig,
@@ -563,48 +566,47 @@ class _StrongCheck:
 def _direct_step(signature, mu: Distribution, action: Action, sig: tuple,
                  partial: bool) -> Optional[tuple]:
     """Weights of a combined `action`-step of mu whose result has
-    signature `sig`, or None when there is none.
-
-    Each support state splits its mass over its action-targets, and with
-    `partial` it may also keep some of it where it is.  The weights are
-    the masses sent to each target, support state by support state, in
-    state_targets order.  The result's signature is the weighted sum of
-    the targets' and the kept states' signatures, so the question is one
-    hull LP when `signature` is linear: class masses are, and so is the
-    stable signature on a final branching partition, where all inert
-    moves of a state lead to the same stable signature."""
-    lp = LP()
-    columns = {}
-    rhs = list(sig)
+    signature `sig`, or None.  Each support state splits its mass over
+    its action-targets in state_targets order and, with `partial`, over
+    itself, which keeps that mass where it is.  The result's signature
+    is the weighted sum of the parts', so this is one hull LP when
+    `signature` is linear: class masses are, and so is the stable
+    signature on a final branching partition, where all inert moves of
+    a state lead to the same stable signature."""
+    groups = []
     for s, m in mu.entries:
         targets = state_targets(s, action)
         if not targets and not partial:
             return None
-        stay = signature(dirac(s)) if partial else None
-        step = [lp.var(("x", s, i)) for i in range(len(targets))]
-        for x, target in zip(step, targets):
-            col = signature(target)
-            columns[x] = col if stay is None else tuple(
-                a - b for a, b in zip(col, stay))
-        (lp.add_le if partial else lp.add_eq)(dict.fromkeys(step, ONE), m)
-        if stay is not None:
-            rhs = [r - m * b for r, b in zip(rhs, stay)]
-    for k, want in enumerate(rhs):
+        columns = [signature(target) for target in targets]
+        if partial:
+            columns.append(signature(dirac(s)))
+        groups.append((m, columns))
+    return _combination(groups, sig)
+
+
+def _combination(groups: list, point):
+    """The hull LP: weights, one per column of each (mass, columns)
+    group, that sum to the group's mass and whose weighted columns sum
+    to `point`, or None."""
+    lp = LP()
+    columns = {}
+    for mass, cols in groups:
+        step = [lp.var(len(columns) + i) for i in range(len(cols))]
+        columns.update(zip(step, cols))
+        lp.add_eq(dict.fromkeys(step, ONE), mass)
+    for k, want in enumerate(point):
         lp.add_eq({x: col[k] for x, col in columns.items()}, want)
-    point = lp.feasible()
-    if point is None:
-        return None
-    return tuple(point[x] for x in columns)
-
-
-@lru_cache(maxsize=512)
-def _strong_partition(states: frozenset) -> Partition:
-    return _refine(_StrongCheck(), states)[0]
+    solution = lp.feasible()
+    return None if solution is None else tuple(solution[x] for x in columns)
 
 
 def strong_partition(roots: Iterable[NdTerm]) -> Partition:
-    """Coarsest strong-bisimulation partition of the joint derivative set."""
-    return _strong_partition(_closure(roots))
+    """The strong classes of the roots' joint derivatives: by shape."""
+    groups: dict = {}
+    for s in _closure(roots):
+        groups.setdefault(shape(s), []).append(s)
+    return partition_from_classes(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +633,7 @@ def decide(relation: str, left, right) -> Verdict:
     stable signatures on the final branching tables of the joint
     derivatives.  Strong and rooted branching read class masses on the
     sides' support states, grouped in one direct-step profile over the
-    strong classes or the final branching tables of their
-    continuations."""
+    shapes or the final branching tables of their continuations."""
     mu, nu = _as_dist(left), _as_dist(right)
     states = mu.support + nu.support
     if relation == "branching":
@@ -656,17 +657,17 @@ def decide(relation: str, left, right) -> Verdict:
 
 
 def _forms_meet(left, right) -> bool:
-    """Do the two sides have one form modulo A1-A4/P1-P3?  Two terms do
-    iff the prover's normalizers give them one form."""
+    """Do the two sides have one form, so are they strongly bisimilar?
+    Two terms do iff the prover gives them one strong form."""
     return form(_as_dist(left)) == form(_as_dist(right))
 
 
 def check(relation: str, left, right) -> Verdict:
     """Decide a named relation over terms of either sort.
 
-    A1-A4/P1-P3 are sound for every relation, so a branching or
-    rooted-branching pair whose forms meet is equivalent, and no decider
-    runs.  Strong pairs always go to the decider, for now:
+    Strong bisimilarity implies the other two relations, so a branching
+    or rooted-branching pair whose forms meet is equivalent, and no
+    decider runs.  Strong pairs always go to the decider, for now:
     perfbench/test_bench.py needs its strong query, whose forms meet,
     to solve an LP.  `decide` answers the rest: by the root step for
     strong and rooted branching, by the analysis for branching."""

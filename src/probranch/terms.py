@@ -23,8 +23,8 @@ exactly as the generated hash does.  The cached values never leave the
 process: a pickled node is rebuilt from its fields.
 
 A state (an NdTerm) keeps two more facts, filled in by equivalence.py:
-its shape, its form modulo A1-A4/P1-P3 (``equivalence.shape``), and its
-reach, the visible actions of its derivatives (``equivalence.reach``).
+its shape, its strong class (``equivalence.shape``), and its reach,
+the visible actions of its derivatives (``equivalence.reach``).
 """
 
 from __future__ import annotations

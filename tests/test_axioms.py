@@ -722,7 +722,6 @@ def _decider_calls(monkeypatch):
     refinement, the two ways into the decider.  The analysis caches are
     emptied first, so no refinement hides behind an earlier test's."""
     equivalence._branching_analysis.cache_clear()
-    equivalence._strong_partition.cache_clear()
     calls = []
     for owner, attr in ((lp.LP, "minimize"), (equivalence, "_refine")):
         def counting(*args, _real=getattr(owner, attr), _attr=attr):

@@ -5,10 +5,11 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import reduce
 
 from probranch import equivalence
 from probranch import lp as lp_module
-from probranch.axioms import apply_axiom, normalize_nd
+from probranch.axioms import _Prover, apply_axiom
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
     INERT,
@@ -464,17 +465,17 @@ def test_strong_route_matches_the_full_closure_route():
 
 
 def test_strong_decide_refines_only_the_continuations(monkeypatch):
-    """Every universe that strong `decide` hands to _strong_partition
-    lies in the closure of the sides' continuations: the sides' support
+    """Every closure that strong `decide` hands to strong_partition lies
+    in the closure of the sides' continuations: the sides' support
     states are grouped by one root step and never refined."""
     universes = []
-    refine = equivalence._strong_partition
+    group = equivalence.strong_partition
 
-    def recording(states):
-        universes.append(states)
-        return refine(states)
+    def recording(roots):
+        universes.append(equivalence._closure(roots))
+        return group(roots)
 
-    monkeypatch.setattr(equivalence, "_strong_partition", recording)
+    monkeypatch.setattr(equivalence, "strong_partition", recording)
     for _, left, right in _strong_pairs(120):
         universes.clear()
         decide("strong", left, right)
@@ -571,7 +572,7 @@ def test_direct_step_matches_flow_lp():
                 for name, check_, ctx, inert in (
                         ("strong", _StrongCheck(), partition, {}),
                         ("rooted", _StrongCheck(), tables, tables.inert)):
-                    sig = check_.challenge_sig(ctx, target)
+                    sig = ctx.stab_sig(target)
                     weights = check_.respond(ctx, responder, action, sig, None)
                     assert (weights is not None) == _flow_direct_step(
                         ctx if name == "strong" else tables.partition, inert,
@@ -579,7 +580,7 @@ def test_direct_step_matches_flow_lp():
                             name, responder, action, target)
                     if weights is not None:
                         assert _weights_hit(
-                            lambda mu: check_.challenge_sig(ctx, mu),
+                            ctx.stab_sig,
                             responder, action, weights, sig)
                     outcomes.add((name, weights is not None))
         for state in roots:
@@ -706,14 +707,20 @@ def test_random_roundtrip_parse_print():
 def _refine_from_one_class(check, roots):
     """The refinement loop started from one class that holds every state
     and profiling every member of every class: the oracle for the
-    decider's start partition and its one profile per shape."""
+    decider's start partition and its one profile per shape.  A strong
+    round reads the partition's own class masses; a single member cannot
+    split and is not profiled."""
     states = frozenset().union(*(derivatives(r) for r in roots))
     partition = partition_from_classes([states])
     while True:
-        ctx = check.context(partition)
+        ctx = (partition if isinstance(check, _StrongCheck)
+               else check.context(partition))
         groups = []
         for cls in partition.classes:
             members = sorted(cls, key=nd_key)
+            if len(members) == 1:
+                groups.append(members)
+                continue
             pool, mids = _pool(check, ctx, members)
             profiles = {}
             for m in members:
@@ -808,6 +815,43 @@ def test_start_partition_gives_the_one_class_fixpoint():
     assert shared > 150, shared
 
 
+def _k3_scope():
+    """Every state of at most three distinct summands over actions a and
+    tau, each body a Dirac on one of the level-1 states 0, a.D(0),
+    tau.D(0) and a.D(0) + tau.D(0), or a 1/2-1/2 mix of two of them:
+    20 summands, 1351 states."""
+    level1 = [parse_nd(text) for text in (
+        "0", "a.D(0)", "tau.D(0)", "a.D(0) + tau.D(0)")]
+    bodies = [Dirac(e) for e in level1] + [
+        PChoice(Dirac(e), rat(1, 2), Dirac(f))
+        for e, f in itertools.combinations(level1, 2)]
+    items = [Prefix(action, body)
+             for action in (Action("a"), TAU) for body in bodies]
+    return [reduce(Sum, combo) if combo else ZERO_TERM
+            for k in range(4) for combo in itertools.combinations(items, k)]
+
+
+def test_shapes_are_the_strong_classes_of_the_k3_scope():
+    """Over the k = 3 scope, grouping by shape, by the prover's strong
+    form and by refinement from one class gives the same 1339 classes:
+    a state whose third summand is the midpoint of two same-action Dirac
+    summands joins the state of those two alone, 12 pairs in all."""
+    states = _k3_scope()
+    assert len(set(states)) == 1351
+    prover = _Prover()
+    strong, _ = _refine_from_one_class(_StrongCheck(), states)
+    groupings = []
+    for key in (shape, lambda s: prover.form(s, False).end,
+                strong.index_of):
+        groups = {}
+        for s in states:
+            groups.setdefault(key(s), set()).add(s)
+        groupings.append({frozenset(g) for g in groups.values()})
+    assert groupings[0] == groupings[1] == groupings[2]
+    assert len(groupings[0]) == 1339
+    assert sorted(len(g) for g in groupings[0] if len(g) > 1) == [2] * 12
+
+
 def test_start_partition_solves_fewer_lps(monkeypatch):
     """On seeded E against E + z.D(0), strong and rooted-branching checks
     solve fewer LPs than with refinement from one class."""
@@ -823,7 +867,6 @@ def test_start_partition_solves_fewer_lps(monkeypatch):
 
     def lp_count():
         equivalence._branching_analysis.cache_clear()
-        equivalence._strong_partition.cache_clear()
         solves[0] = 0
         for rel in ("strong", "rooted-branching"):
             for e, f in pairs:
@@ -1028,12 +1071,12 @@ def _axiom_application(rng, axiom):
 
 
 def _prover_form(term):
-    return normalize_nd(term)[0]
+    return _Prover().form(term, False).end
 
 
 def test_normal_form_matches_the_prover_and_the_deciders():
-    """check's step-free form meets exactly where the prover's
-    normalizers give one form, and pairs whose forms meet are equivalent
+    """check's step-free form meets exactly where the prover's strong
+    forms meet, and pairs whose forms meet are equivalent
     under all three deciders, over sound applications of every
     unconditional axiom, sound-rewrite pairs and the same pairs with a
     fresh summand z.D(0) on one side."""

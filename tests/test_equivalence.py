@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -134,6 +135,26 @@ def test_strong_distinguishes_dirac_from_mixture():
     assert verdict.witness is not None
 
 
+def test_strong_check_on_the_depth_120_chain_refines_nothing(monkeypatch):
+    """Strong check of the depth-120 a.D(...) chain against itself, and
+    against the chain that ends in b.D(0), reads shapes: neither pair
+    refines, the equal pair solves no LP, and both answer within 5 s."""
+    chain = nd("a.D(" * 120 + "0" + ")" * 120)
+    other = nd("a.D(" * 119 + "b.D(0)" + ")" * 119)
+    calls = []
+    for owner, attr in ((LP, "minimize"), (equivalence, "_refine")):
+        def counting(*args, _real=getattr(owner, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    start = time.perf_counter()
+    assert check("strong", chain, chain).equivalent
+    assert calls == []
+    assert not check("strong", chain, other).equivalent
+    assert time.perf_counter() - start < 5
+    assert "_refine" not in calls
+
+
 def test_partition_lookups_reject_a_state_outside_the_universe():
     partition = strong_partition([nd("a.D(0)")])
     outside = nd("b.D(0)")
@@ -227,7 +248,6 @@ def test_check_solves_no_lp_where_forms_meet(monkeypatch):
     answered without an LP; strong pairs, and the deciders themselves,
     still solve them."""
     equivalence._branching_analysis.cache_clear()
-    equivalence._strong_partition.cache_clear()
     solves = []
     minimize = LP.minimize
 

@@ -27,17 +27,16 @@ from enum import Enum
 from functools import reduce
 from typing import Optional
 
-from .dist import den, dirac
+from .dist import den, dist_key
 from .equivalence import (
     PARTIALLY_INERT,
-    _direct_step,
+    _combination,
     branching_analysis,
     decide,
     sqsubseteq,
 )
 from .parse import print_term
 from .rat import ONE, ZERO, format_rat, rat
-from .semantics import state_targets
 from .terms import (
     Action,
     Dirac,
@@ -731,25 +730,27 @@ def _mixture(items, j):
     """[(body, weight), ...] over the other same-action summands of the
     normalized chain `items`, in chain order, whose fold has the
     distribution of summand j's body, or None.  The bodies are forms, so
-    the hull LP reads a distribution's masses per form state.  Distinct
-    forms have distinct distributions, so only three or more bodies of
-    one action can hold a mixture."""
+    the hull LP reads a distribution's masses per form state, over the
+    other bodies in the order of their distributions.  Distinct forms
+    have distinct distributions, so only three or more bodies of one
+    action can hold a mixture."""
     if len(items) < 3:  # fewer than three bodies; 0 only stands alone
         return None
     action, body = items[j].action, items[j].body
     bodies = [s.body for s in items if s.action == action]
     if len(bodies) < 3:
         return None
-    rest = reduce(Sum, items[:j] + items[j + 1:])
     states = sorted({s for b in bodies for s in den(b).support}, key=nd_key)
-    signature = lambda mu: tuple(mu.mass(s) for s in states)
-    weights = _direct_step(signature, dirac(rest), action,
-                           signature(den(body)), partial=False)
+    signature = lambda p: tuple(den(p).mass(s) for s in states)
+    others = sorted((b for b in bodies if b != body),
+                    key=lambda b: dist_key(den(b)))
+    weights = _combination([(ONE, [signature(b) for b in others])],
+                           signature(body))
     if weights is None:
         return None
-    weight = dict(zip(state_targets(rest, action), weights))
-    return [(s.body, weight[den(s.body)]) for s in summands(rest)
-            if s.action == action and weight[den(s.body)] != ZERO]
+    weight = dict(zip(others, weights))
+    return [(b, weight[b]) for b in bodies
+            if b != body and weight[b] != ZERO]
 
 
 def _memoized(method):

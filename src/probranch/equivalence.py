@@ -47,8 +47,9 @@ signatures of the responder's action-targets: class masses for strong,
 stable signatures for the other two.  The weak branching step is the
 flow LP of `_Tables.transfer_feasible`.  `shape` asks the hull LP
 (`_combination`) whether a target mixes the others, and the prover
-(axioms.py) asks `_direct_step` whether a body of its own forms mixes
-the other same-action bodies, and reads the weights from the point.
+(axioms.py) asks it whether a body of its own forms mixes the other
+same-action bodies, and reads the weights from the point.  The tables
+keep no LP answers: `lp._simplex` is the one memo of an LP's answer.
 
 A not-equivalent verdict of any relation carries the class masses of
 both sides under the partition that decided it, and an action that
@@ -184,23 +185,18 @@ class _Tables:
         self.inert: dict = {}
         self.unstable: set = set()
         self.stabsig_state: dict = {}
-        self._sig_cache: dict = {}
-        self._lp_cache: dict = {}
         self._classify()
 
     def stab_sig(self, mu: Distribution) -> tuple:
         """The class masses of mu once its inert moves have fired.  Each
         unstable state fires its first inert transition, so the result
         is linear in mu: the mu-weighted sum of the states' rows."""
-        sig = self._sig_cache.get(mu)
-        if sig is None:
-            out = [ZERO] * len(self.partition.classes)
-            for t, m in mu.entries:
-                for k, x in enumerate(self.stabsig_state[t]):
-                    if x:
-                        out[k] += m * x
-            sig = self._sig_cache[mu] = tuple(out)
-        return sig
+        out = [ZERO] * len(self.partition.classes)
+        for t, m in mu.entries:
+            for k, x in enumerate(self.stabsig_state[t]):
+                if x:
+                    out[k] += m * x
+        return tuple(out)
 
     def dissolves(self, state: NdTerm, target: Distribution) -> bool:
         """Does `target` stabilize onto the state's own stable signature,
@@ -227,11 +223,8 @@ class _Tables:
         the sum of p_t <= mu(t) subject to sum_t p_t*(row[t] - ref) = 0.
         The rows and ref are probability vectors, so the sum is r, and
         the rows of classes on ref's support force zero mass on every
-        other class: only those rows are added.  Answers are kept per
-        (mu, ref), beside the transfer LPs."""
-        hit = self._lp_cache.get((mu, ref))
-        if hit is not None:
-            return hit
+        other class: only those rows are added.  The LP is built on every
+        call; `lp._simplex` answers a repeated one from its memo."""
         lp = LP()
         rows = [{} for _ in ref]
         for t, m in mu.entries:
@@ -242,9 +235,7 @@ class _Tables:
         for coeffs in rows:
             if coeffs:
                 lp.add_eq(coeffs, ZERO)
-        hit = self._lp_cache[(mu, ref)] = lp.maximize(
-            {("p", t): ONE for t in mu.support})["__value__"]
-        return hit
+        return lp.maximize({("p", t): ONE for t in mu.support})["__value__"]
 
     def inert_transitions(self, states) -> tuple:
         out = []
@@ -294,13 +285,9 @@ class _Tables:
         """Does `start` answer an `action` challenge whose target
         stabilizes onto end_sig, after first moving silently to a weak
         derivative that stabilizes onto mid_sig?  A silent step may move
-        any fraction, including none; a visible one moves everything."""
-        key = (start, action, end_sig, mid_sig)
-        hit = self._lp_cache.get(key)
-        if hit is None:
-            hit = self._lp_cache[key] = self._transfer_lp(
-                start, action, end_sig, mid_sig)
-        return hit
+        any fraction, including none; a visible one moves everything.
+        One flow LP per call, as for `equivalent_fraction`."""
+        return self._transfer_lp(start, action, end_sig, mid_sig)
 
     def _transfer_lp(self, start, action, end_sig, mid_sig) -> bool:
         states = tuple(sorted(_closure(start.support), key=nd_key))
@@ -588,7 +575,8 @@ def _direct_step(signature, mu: Distribution, action: Action, sig: tuple,
 def _combination(groups: list, point):
     """The hull LP: weights, one per column of each (mass, columns)
     group, that sum to the group's mass and whose weighted columns sum
-    to `point`, or None."""
+    to `point`, or None.  A coordinate that no column and not the point
+    touches poses no row."""
     lp = LP()
     columns = {}
     for mass, cols in groups:
@@ -596,7 +584,9 @@ def _combination(groups: list, point):
         columns.update(zip(step, cols))
         lp.add_eq(dict.fromkeys(step, ONE), mass)
     for k, want in enumerate(point):
-        lp.add_eq({x: col[k] for x, col in columns.items()}, want)
+        coeffs = {x: col[k] for x, col in columns.items() if col[k]}
+        if coeffs or want:
+            lp.add_eq(coeffs, want)
     solution = lp.feasible()
     return None if solution is None else tuple(solution[x] for x in columns)
 

@@ -60,7 +60,6 @@ def nd_transitions(state: NdTerm) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def state_targets(state: NdTerm, action: Action) -> tuple:
     """Target distributions of the state's transitions with this action."""
     return tuple(t.target for t in nd_transitions(state) if t.action == action)

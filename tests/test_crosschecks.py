@@ -9,7 +9,7 @@ from functools import reduce
 
 from probranch import equivalence
 from probranch import lp as lp_module
-from probranch.axioms import _Prover, apply_axiom
+from probranch.axioms import AxiomId, _Prover, apply_axiom
 from probranch.dist import den, derivatives, dirac, distribution
 from probranch.equivalence import (
     INERT,
@@ -815,11 +815,11 @@ def test_start_partition_gives_the_one_class_fixpoint():
     assert shared > 150, shared
 
 
-def _k3_scope():
-    """Every state of at most three distinct summands over actions a and
+def _scope(k):
+    """Every state of at most k distinct summands over actions a and
     tau, each body a Dirac on one of the level-1 states 0, a.D(0),
     tau.D(0) and a.D(0) + tau.D(0), or a 1/2-1/2 mix of two of them:
-    20 summands, 1351 states."""
+    20 summands, 211 states for k = 2 and 1351 for k = 3."""
     level1 = [parse_nd(text) for text in (
         "0", "a.D(0)", "tau.D(0)", "a.D(0) + tau.D(0)")]
     bodies = [Dirac(e) for e in level1] + [
@@ -828,7 +828,15 @@ def _k3_scope():
     items = [Prefix(action, body)
              for action in (Action("a"), TAU) for body in bodies]
     return [reduce(Sum, combo) if combo else ZERO_TERM
-            for k in range(4) for combo in itertools.combinations(items, k)]
+            for n in range(k + 1)
+            for combo in itertools.combinations(items, n)]
+
+
+def _groups(states, key):
+    groups = {}
+    for s in states:
+        groups.setdefault(key(s), set()).add(s)
+    return {frozenset(g) for g in groups.values()}
 
 
 def test_shapes_are_the_strong_classes_of_the_k3_scope():
@@ -836,20 +844,45 @@ def test_shapes_are_the_strong_classes_of_the_k3_scope():
     form and by refinement from one class gives the same 1339 classes:
     a state whose third summand is the midpoint of two same-action Dirac
     summands joins the state of those two alone, 12 pairs in all."""
-    states = _k3_scope()
+    states = _scope(3)
     assert len(set(states)) == 1351
     prover = _Prover()
     strong, _ = _refine_from_one_class(_StrongCheck(), states)
-    groupings = []
-    for key in (shape, lambda s: prover.form(s, False).end,
-                strong.index_of):
-        groups = {}
-        for s in states:
-            groups.setdefault(key(s), set()).add(s)
-        groupings.append({frozenset(g) for g in groups.values()})
+    groupings = [_groups(states, key) for key in (
+        shape, lambda s: prover.form(s, False).end, strong.index_of)]
     assert groupings[0] == groupings[1] == groupings[2]
     assert len(groupings[0]) == 1339
     assert sorted(len(g) for g in groupings[0] if len(g) > 1) == [2] * 12
+
+
+def test_rooted_forms_are_the_rooted_classes_of_the_k3_scope():
+    """Over the k = 3 scope, grouping by the prover's rooted form gives
+    the 293 classes of the rooted root step over the continuations'
+    branching classes, and some of those proofs drop a mixed summand by
+    C, a path no benchmark query takes."""
+    states = _scope(3)
+    prover = _Prover()
+    proofs = {s: prover.form(s, True) for s in states}
+    ctx = branching_analysis(equivalence._continuations(states))
+    classes = {frozenset(g) for g in equivalence._profiles(
+        _StrongCheck(), ctx, sorted(states, key=nd_key)).values()}
+    assert _groups(states, lambda s: proofs[s].end) == classes
+    assert len(classes) == 293
+    assert any(step.axiom == AxiomId.C
+               for proof in proofs.values() for step in proof.steps)
+
+
+def test_rooted_forms_of_prefixed_states_are_the_branching_classes():
+    """Completeness over the k = 2 scope: a.D(s) and a.D(t) have one
+    rooted form iff s and t are branching bisimilar, which splits the
+    211 states into 69 classes."""
+    states = _scope(2)
+    prover = _Prover()
+    a = Action("a")
+    classes = set(branching_analysis(states).partition.classes)
+    assert _groups(states, lambda s: prover.form(
+        Prefix(a, Dirac(s)), True).end) == classes
+    assert len(classes) == 69
 
 
 def test_start_partition_solves_fewer_lps(monkeypatch):

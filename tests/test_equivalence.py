@@ -17,12 +17,14 @@ from probranch.equivalence import (
     _profiles,
     _start_partition,
     _StrongCheck,
+    _direct_step,
     branching_analysis,
     check,
     decide,
     inertness,
     is_concrete,
     is_rigid,
+    partition_from_classes,
     reach,
     shape,
     sqsubseteq,
@@ -33,7 +35,7 @@ from probranch.lp import LP
 from probranch.parse import parse_nd, parse_p, parse_term, print_term
 from probranch.rat import ONE, rat
 from probranch.semantics import StateTransition, nd_transitions
-from probranch.terms import TAU, ZERO_TERM, nd_key
+from probranch.terms import TAU, ZERO_TERM, Action, nd_key
 from test_dist import class_mass
 
 
@@ -153,6 +155,29 @@ def test_strong_check_on_the_depth_120_chain_refines_nothing(monkeypatch):
     assert not check("strong", chain, other).equivalent
     assert time.perf_counter() - start < 5
     assert "_refine" not in calls
+
+
+def test_direct_step_poses_no_row_for_an_untouched_class(monkeypatch):
+    """A direct step over a partition with classes that neither its
+    columns nor the challenge touch poses no all-zero row: one row for
+    the mass, one per touched class."""
+    state = nd("a.D(0) + a.(D(0) +[1/2] D(b.D(0)))")
+    partition = partition_from_classes(
+        [{s} for s in (ZERO_TERM, nd("a.D(0)"), nd("b.D(0)"),
+                       nd("c.D(0)"))])
+    rows = []
+    feasible = LP.feasible
+
+    def recording(self):
+        rows.extend(self._rows)
+        return feasible(self)
+
+    monkeypatch.setattr(LP, "feasible", recording)
+    weights = _direct_step(partition.sig, dirac(state), Action("a"),
+                           partition.sig(dirac(ZERO_TERM)), partial=False)
+    assert weights == (ONE, 0)
+    assert len(rows) == 3
+    assert all(coeffs for coeffs, _, _ in rows)
 
 
 def test_partition_lookups_reject_a_state_outside_the_universe():
